@@ -7,6 +7,7 @@ import (
 	"repro/internal/cast"
 	"repro/internal/telemetry"
 	"repro/internal/update"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
@@ -60,110 +61,22 @@ func (c *Caster) Source() *Schema { return c.src }
 // Target returns the caster's target schema.
 func (c *Caster) Target() *Schema { return c.dst }
 
-// Stats reports the work performed by one validation. The node counters
-// are a machine-independent cost measure (the paper's Table 3 metric).
-// Field names are shared with StreamStats and the internal engines so a
-// counter means the same thing wherever it appears.
-type Stats struct {
-	// ElementsVisited counts element nodes examined.
-	ElementsVisited int64
-	// TextNodesVisited counts text leaves whose value was read.
-	TextNodesVisited int64
-	// AutomatonSteps counts automaton transitions taken in content-model
-	// checks — the number of child-label symbols scanned.
-	AutomatonSteps int64
-	// SymbolsSkipped counts child labels seen after an immediate decision
-	// automaton had already settled a content-model verdict.
-	SymbolsSkipped int64
-	// SubsumedSkips counts subtrees skipped outright because the source
-	// type is subsumed by the target type.
-	SubsumedSkips int64
-	// DisjointRejects counts rejections caused by disjoint type pairs.
-	DisjointRejects int64
-	// FullValidations counts subtrees that had to be validated from
-	// scratch (inserted content).
-	FullValidations int64
-	// ReverseScans counts with-modifications content checks that chose the
-	// reverse-automaton scan direction (edits clustered at the end).
-	ReverseScans int64
-	// MaxDepth is the deepest element depth reached (root = 0). Batch
-	// totals merge it with max, not sum.
-	MaxDepth int64
-}
-
-// NodesVisited is the total of element and text nodes examined.
-func (s Stats) NodesVisited() int64 { return s.ElementsVisited + s.TextNodesVisited }
-
-// WorkSavedRatio is the fraction of a document's nodes this validation
-// never touched: 1 − visited/total, clamped to [0, 1]. Pass the document's
-// Document.NodeCount (the tree engine cannot know the size of subtrees it
-// skipped).
-func (s Stats) WorkSavedRatio(totalNodes int64) float64 {
-	if totalNodes <= 0 {
-		return 0
-	}
-	r := 1 - float64(s.NodesVisited())/float64(totalNodes)
-	if r < 0 {
-		return 0
-	}
-	return r
-}
-
-// SymbolsScannedRatio is the fraction of content-model symbols actually
-// scanned out of all symbols seen: steps/(steps+skipped). 1 when no
-// immediate decision fired.
-func (s Stats) SymbolsScannedRatio() float64 {
-	total := s.AutomatonSteps + s.SymbolsSkipped
-	if total == 0 {
-		return 1
-	}
-	return float64(s.AutomatonSteps) / float64(total)
-}
-
-func fromCastStats(cs cast.Stats) Stats {
-	return Stats{
-		ElementsVisited:  cs.ElementsVisited,
-		TextNodesVisited: cs.TextNodesVisited,
-		AutomatonSteps:   cs.AutomatonSteps,
-		SymbolsSkipped:   cs.SymbolsSkipped,
-		SubsumedSkips:    cs.SubsumedSkips,
-		DisjointRejects:  cs.DisjointRejects,
-		FullValidations:  cs.FullValidations,
-		ReverseScans:     cs.ReverseScans,
-		MaxDepth:         cs.MaxDepth,
-	}
-}
+// Stats reports the work performed by one validation. The counters are a
+// machine-independent cost measure (the paper's Table 3 metric), shared by
+// every engine — tree cast, streaming cast and full validation — so a
+// counter means the same thing wherever it appears. Counters an engine has
+// no use for stay 0. The tree engines report their economy with
+// NodesSavedRatio (given Document.NodeCount), the streaming ones with
+// WorkSavedRatio.
+type Stats = work.Stats
 
 // TraceEvent is one recorded decision of a traced validation: which action
 // the engine took where, and for which (source, target) type pair. Action
-// is one of "descend", "skip", "reject", "content", "simple", "full".
-type TraceEvent struct {
-	Action string `json:"action"`
-	// Path is the XPath-like location of the element the decision concerns.
-	Path string `json:"path"`
-	// Dewey is the element's Dewey decimal number ("0.2.1"; "ε" for the
-	// root).
-	Dewey string `json:"dewey"`
-	// Depth is the element depth (root = 0).
-	Depth int `json:"depth"`
-	// SrcType and DstType name the (τ, τ') pair the decision was made for.
-	SrcType string `json:"srcType,omitempty"`
-	DstType string `json:"dstType,omitempty"`
-	// Detail is a human-readable elaboration.
-	Detail string `json:"detail,omitempty"`
-}
-
-func fromTraceEvents(tr *telemetry.Trace) []TraceEvent {
-	events := tr.Events()
-	out := make([]TraceEvent, len(events))
-	for i, e := range events {
-		out[i] = TraceEvent{
-			Action: string(e.Action), Path: e.Path, Dewey: e.Dewey, Depth: e.Depth,
-			SrcType: e.SrcType, DstType: e.DstType, Detail: e.Detail,
-		}
-	}
-	return out
-}
+// is one of "descend", "skip", "reject", "content", "simple", "full"; Path
+// is the XPath-like location, Dewey the element's Dewey decimal number
+// ("0.2.1"; "ε" for the root), Depth the element depth (root = 0), and
+// Detail a human-readable elaboration.
+type TraceEvent = telemetry.Event
 
 // Validate decides whether doc — assumed valid under the source schema —
 // is valid under the target schema. It returns nil when valid.
@@ -178,14 +91,12 @@ func (c *Caster) Validate(doc *Document) error {
 // wrapping the context's cause while the hot path stays lock-free. Use it
 // wherever a validation serves a request with a deadline.
 func (c *Caster) ValidateContext(ctx context.Context, doc *Document) (Stats, error) {
-	cs, err := c.engine.ValidateContext(ctx, doc.root)
-	return fromCastStats(cs), err
+	return c.engine.ValidateContext(ctx, doc.root)
 }
 
 // ValidateStats is Validate with work statistics.
 func (c *Caster) ValidateStats(doc *Document) (Stats, error) {
-	cs, err := c.engine.Validate(doc.root)
-	return fromCastStats(cs), err
+	return c.engine.Validate(doc.root)
 }
 
 // ValidateTraced is ValidateStats in trace mode: alongside the verdict and
@@ -196,8 +107,8 @@ func (c *Caster) ValidateStats(doc *Document) (Stats, error) {
 // paths.
 func (c *Caster) ValidateTraced(doc *Document) (Stats, []TraceEvent, error) {
 	tr := &telemetry.Trace{}
-	cs, err := c.engine.ValidateTrace(doc.root, tr)
-	return fromCastStats(cs), fromTraceEvents(tr), err
+	st, err := c.engine.ValidateTrace(doc.root, tr)
+	return st, tr.Events(), err
 }
 
 // ValidateAll validates a batch of documents concurrently on a pool of
@@ -233,13 +144,13 @@ func (c *Caster) ValidateAllContext(ctx context.Context, docs []*Document, worke
 				errs[i] = context.Cause(ctx)
 				continue
 			}
-			cs, err := guardValidate(func() (cast.Stats, error) {
+			st, err := guardValidate(func() (Stats, error) {
 				return c.engine.ValidateContext(ctx, docs[i].root)
 			})
 			errs[i] = err
-			local.Add(fromCastStats(cs))
+			local.Add(st)
 		}
-		total.atomicAdd(local)
+		total.AtomicAdd(local)
 	})
 	return errs, total
 }
@@ -254,8 +165,7 @@ func (c *Caster) ValidateModified(doc *Document, changes *ChangeSet) error {
 
 // ValidateModifiedStats is ValidateModified with work statistics.
 func (c *Caster) ValidateModifiedStats(doc *Document, changes *ChangeSet) (Stats, error) {
-	cs, err := c.engine.ValidateModified(doc.root, changes.trie)
-	return fromCastStats(cs), err
+	return c.engine.ValidateModified(doc.root, changes.trie)
 }
 
 // Index gives direct access to all instances of each element label in a
@@ -281,20 +191,14 @@ func (c *Caster) ValidateIndexed(doc *Document, index *Index) error {
 
 // ValidateIndexedStats is ValidateIndexed with work statistics.
 func (c *Caster) ValidateIndexedStats(doc *Document, index *Index) (Stats, error) {
-	cs, err := c.engine.ValidateDTD(doc.root, index.idx)
-	return fromCastStats(cs), err
+	return c.engine.ValidateDTD(doc.root, index.idx)
 }
 
 // ValidateFull runs a complete target-schema validation of the document
 // (the Xerces-style baseline) with the same instrumentation, for
 // comparison against the cast paths.
 func (s *Schema) ValidateFull(doc *Document) (Stats, error) {
-	bs, err := baseline.New(s.s).Validate(doc.root)
-	return Stats{
-		ElementsVisited:  bs.ElementsVisited,
-		TextNodesVisited: bs.TextNodesVisited,
-		AutomatonSteps:   bs.AutomatonSteps,
-	}, err
+	return baseline.New(s.s).Validate(doc.root)
 }
 
 // EditSession applies tracked edits to a document, Δ-encoding them so that

@@ -490,17 +490,14 @@ func runJSON(ps *wgen.PaperSchemas, path string) {
 		castTime := timeIt(castFn)
 		scanFullTime := timeIt(scanFullFn)
 		stdFullTime := timeIt(stdFullFn)
-		st, err := sc.Validate(bytes.NewReader(data))
-		if err != nil {
-			fatal(err)
-		}
+		skip, scanned := streamRatios(sc, data)
 		out = append(out, benchScenario{
 			Name:                "stream-cast-vs-full-500",
 			NsPerOp:             castTime.Nanoseconds(),
 			BaselineNsPerOp:     stdFullTime.Nanoseconds(),
 			Speedup:             float64(stdFullTime) / float64(castTime),
-			SkipRatio:           st.WorkSavedRatio(),
-			SymbolsScannedRatio: st.SymbolsScannedRatio(),
+			SkipRatio:           skip,
+			SymbolsScannedRatio: scanned,
 			AllocsPerOp:         allocsPerOp(castFn),
 			BaselineAllocsPerOp: allocsPerOp(stdFullFn),
 		})
@@ -540,13 +537,14 @@ func runJSON(ps *wgen.PaperSchemas, path string) {
 		col.Start()
 		sampledTime := timeIt(castFn)
 		col.Stop()
+		skip, scanned := streamRatios(sc, data)
 		out = append(out, benchScenario{
 			Name:                "stream-cast-runtime-sampler-500",
 			NsPerOp:             sampledTime.Nanoseconds(),
 			BaselineNsPerOp:     quietTime.Nanoseconds(),
 			Speedup:             float64(quietTime) / float64(sampledTime),
-			SkipRatio:           0,
-			SymbolsScannedRatio: 1,
+			SkipRatio:           skip,
+			SymbolsScannedRatio: scanned,
 		})
 	}
 
@@ -583,13 +581,14 @@ func runJSON(ps *wgen.PaperSchemas, path string) {
 		}
 		plainTime := timeIt(plainFn)
 		exemplarTime := timeIt(exemplarFn)
+		skip, scanned := streamRatios(sc, data)
 		out = append(out, benchScenario{
 			Name:                "stream-cast-exemplars-500",
 			NsPerOp:             exemplarTime.Nanoseconds(),
 			BaselineNsPerOp:     plainTime.Nanoseconds(),
 			Speedup:             float64(plainTime) / float64(exemplarTime),
-			SkipRatio:           0,
-			SymbolsScannedRatio: 1,
+			SkipRatio:           skip,
+			SymbolsScannedRatio: scanned,
 			AllocsPerOp:         allocsPerOp(exemplarFn),
 			BaselineAllocsPerOp: allocsPerOp(plainFn),
 		})
@@ -635,13 +634,14 @@ func runJSON(ps *wgen.PaperSchemas, path string) {
 		}
 		bareTime := timeIt(bareFn)
 		guardedTime := timeIt(guardedFn)
+		skip, scanned := streamRatios(sc, data)
 		out = append(out, benchScenario{
 			Name:                "stream-cast-resilience-guard-500",
 			NsPerOp:             guardedTime.Nanoseconds(),
 			BaselineNsPerOp:     bareTime.Nanoseconds(),
 			Speedup:             float64(bareTime) / float64(guardedTime),
-			SkipRatio:           0,
-			SymbolsScannedRatio: 1,
+			SkipRatio:           skip,
+			SymbolsScannedRatio: scanned,
 			AllocsPerOp:         allocsPerOp(guardedFn),
 			BaselineAllocsPerOp: allocsPerOp(bareFn),
 		})
@@ -738,6 +738,16 @@ func artifactStartupRow() benchScenario {
 	}
 }
 
+// streamRatios runs one cast of data and returns its work ratios, so an
+// overhead row reports the economy of the cast it times.
+func streamRatios(sc *stream.Caster, data []byte) (skip, scanned float64) {
+	st, err := sc.Validate(bytes.NewReader(data))
+	if err != nil {
+		fatal(err)
+	}
+	return st.WorkSavedRatio(), st.SymbolsScannedRatio()
+}
+
 // treeRow times one tree-engine scenario against the full baseline and
 // derives the work ratios from the two Stats.
 func treeRow(name string, engine *cast.Engine, base *baseline.Validator, doc *xmltree.Node) benchScenario {
@@ -764,7 +774,7 @@ func treeRow(name string, engine *cast.Engine, base *baseline.Validator, doc *xm
 		NsPerOp:             castTime.Nanoseconds(),
 		BaselineNsPerOp:     fullTime.Nanoseconds(),
 		Speedup:             float64(fullTime) / float64(castTime),
-		SkipRatio:           cs.WorkSavedRatio(bs.NodesVisited()),
+		SkipRatio:           cs.NodesSavedRatio(bs.NodesVisited()),
 		SymbolsScannedRatio: cs.SymbolsScannedRatio(),
 	}
 }

@@ -13,7 +13,7 @@
 //	curl -X POST --data-binary @order.xml localhost:8347/cast/v1/v2
 //	curl localhost:8347/pairs/v1/v2     # static compatibility, no document
 //	curl localhost:8347/metrics         # Prometheus text exposition
-//	curl localhost:8347/metrics.json    # JSON counter snapshot
+//	curl localhost:8347/metrics.json    # JSON: registry cache counters + every family
 //	curl localhost:8347/debug/traces    # retained request traces (spans)
 //	curl localhost:8347/debug/profiles  # continuous-profiling ring (pprof)
 //	curl localhost:8347/debug/hotpairs  # per-pair cast cost attribution
@@ -104,8 +104,6 @@ func main() {
 		peerTimeout  = flag.Duration("peer-timeout", server.DefaultPeerTimeout, "deadline per peer attempt (artifact fetch or hedge); the whole chain is bounded by -cast-timeout")
 		peerRetries  = flag.Int("peer-retries", server.DefaultPeerRetries, "retries per failed peer fetch, granted by the global retry budget (negative = no retries)")
 		brkFailures  = flag.Int("peer-breaker-failures", 5, "consecutive peer failures that open its circuit breaker")
-		brkWindow    = flag.Duration("peer-breaker-window", 30*time.Second, "rolling window for the breaker's error-rate trip")
-		brkRate      = flag.Float64("peer-breaker-rate", 0.5, "windowed error rate in (0,1] that opens the breaker (with enough samples)")
 		brkOpenFor   = flag.Duration("peer-breaker-open-for", 5*time.Second, "cool-off an open breaker waits before admitting one probe request")
 		hedgeAfter   = flag.Duration("hedge-after", 100*time.Millisecond, "hedge an artifact fetch to another warm peer after this long (floor under the observed p95; 0 = hedging off)")
 		degradedMode = flag.String("degraded-mode", server.DegradedModeLocal, "what a non-owner serves while the owner's breaker is open: local (compile here), stale (serve disk artifacts only), fail (503 + Retry-After)")
@@ -223,8 +221,6 @@ func main() {
 		PeerTimeout:         *peerTimeout,
 		PeerRetries:         *peerRetries,
 		PeerBreakerFailures: *brkFailures,
-		PeerBreakerWindow:   *brkWindow,
-		PeerBreakerRate:     *brkRate,
 		PeerBreakerOpenFor:  *brkOpenFor,
 		HedgeAfter:          *hedgeAfter,
 		DegradedMode:        *degradedMode,

@@ -114,7 +114,7 @@ func main() {
 		printTrace(trace)
 		fmt.Fprintf(os.Stderr, "explain: %d skips, %d rejects; visited %d of %d nodes (work saved %.1f%%), scanned %d symbols (skipped %d)\n",
 			st.SubsumedSkips, st.DisjointRejects,
-			st.NodesVisited(), doc.NodeCount(), 100*st.WorkSavedRatio(int64(doc.NodeCount())),
+			st.NodesVisited(), doc.NodeCount(), 100*st.NodesSavedRatio(int64(doc.NodeCount())),
 			st.AutomatonSteps, st.SymbolsSkipped)
 		report("schema cast", st, err, *stats)
 		return
@@ -158,7 +158,7 @@ func runStreaming(ctx context.Context, u *revalidate.Universe, target *revalidat
 	exitOn(err)
 	sc, err := revalidate.NewStreamCaster(source, target)
 	exitOn(err)
-	var st revalidate.StreamStats
+	var st revalidate.Stats
 	if explain {
 		var trace []revalidate.TraceEvent
 		st, trace, err = sc.ValidateTracedContext(ctx, r, lim)

@@ -12,31 +12,14 @@ import (
 
 	"repro/internal/fa"
 	"repro/internal/schema"
+	"repro/internal/work"
 	"repro/internal/xmltree"
 )
 
-// Stats counts the work a validation performed. The node counters are the
-// machine-independent cost metric of the paper's Table 3.
-type Stats struct {
-	// ElementsVisited counts element nodes examined.
-	ElementsVisited int64
-	// TextNodesVisited counts χ leaves whose value was read.
-	TextNodesVisited int64
-	// AutomatonSteps counts DFA transitions taken during content-model
-	// checks.
-	AutomatonSteps int64
-}
-
-// NodesVisited is the total of element and text nodes examined — the
-// quantity reported in Table 3.
-func (s Stats) NodesVisited() int64 { return s.ElementsVisited + s.TextNodesVisited }
-
-// Add accumulates other into s.
-func (s *Stats) Add(other Stats) {
-	s.ElementsVisited += other.ElementsVisited
-	s.TextNodesVisited += other.TextNodesVisited
-	s.AutomatonSteps += other.AutomatonSteps
-}
+// Stats counts the work a validation performed: the node counters are the
+// machine-independent cost metric of the paper's Table 3. It is the work
+// counter every engine shares.
+type Stats = work.Stats
 
 // Validator performs full validation against one schema.
 type Validator struct {
@@ -67,19 +50,18 @@ func (v *Validator) Validate(doc *xmltree.Node) (Stats, error) {
 			Reason: fmt.Sprintf("label %q is not a permitted root", doc.Label),
 		}
 	}
-	err := v.validateType(τ, doc, &st)
+	err := v.ValidateType(τ, doc, 0, &st)
 	return st, err
 }
 
 // ValidateType fully validates a subtree against a specific type,
-// accumulating into st. The subtree's root element is assumed already
-// counted by the caller (Validate counts it; recursive calls count children
-// as they reach them).
-func (v *Validator) ValidateType(τ schema.TypeID, e *xmltree.Node, st *Stats) error {
-	return v.validateType(τ, e, st)
-}
-
-func (v *Validator) validateType(τ schema.TypeID, e *xmltree.Node, st *Stats) error {
+// accumulating into st. depth is the subtree root's element depth in its
+// document (root = 0), so MaxDepth stays document-relative when a cast
+// folds a full-validation excursion into its own Stats. The subtree's root
+// element is assumed already counted by the caller (Validate counts it;
+// recursive calls count children as they reach them).
+func (v *Validator) ValidateType(τ schema.TypeID, e *xmltree.Node, depth int, st *Stats) error {
+	st.NoteDepth(depth)
 	t := v.S.TypeOf(τ)
 	if t.Simple {
 		return v.validateSimple(t, e, st)
@@ -128,7 +110,7 @@ func (v *Validator) validateType(τ schema.TypeID, e *xmltree.Node, st *Stats) e
 			continue
 		}
 		st.ElementsVisited++
-		if err := v.validateType(t.Child[v.S.Alpha.Lookup(c.Label)], c, st); err != nil {
+		if err := v.ValidateType(t.Child[v.S.Alpha.Lookup(c.Label)], c, depth+1, st); err != nil {
 			return err
 		}
 	}

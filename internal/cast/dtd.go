@@ -89,9 +89,7 @@ func (e *Engine) ValidateDTD(doc *xmltree.Node, idx LabelIndex) (Stats, error) {
 				continue
 			}
 			if tS.Simple {
-				bs, err := fullValidateSubtree(e, τp, n)
-				st.addBaseline(bs)
-				if err != nil {
+				if err := fullValidateSubtree(e, τp, n, elementDepth(n), &st); err != nil {
 					return st, err
 				}
 				continue
@@ -123,4 +121,15 @@ func (e *Engine) labelType(s *schema.Schema, label string) schema.TypeID {
 		}
 	}
 	return schema.NoType
+}
+
+// elementDepth is n's element depth in its document (root = 0). The label
+// index reaches nodes out of document order, so depth is not tracked on the
+// way down.
+func elementDepth(n *xmltree.Node) int {
+	d := 0
+	for p := n.Parent; p != nil; p = p.Parent {
+		d++
+	}
+	return d
 }

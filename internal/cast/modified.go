@@ -45,8 +45,7 @@ func (e *Engine) ValidateModified(doc *xmltree.Node, trie *update.Trie) (Stats, 
 		}
 	}
 	if doc.Delta == xmltree.DeltaInsert {
-		bs, err := fullValidateSubtree(e, τp, doc)
-		st.addBaseline(bs)
+		err := fullValidateSubtree(e, τp, doc, 0, &st)
 		return st, err
 	}
 	oldLabel, _, _ := doc.ProjOld()
@@ -59,7 +58,7 @@ func (e *Engine) ValidateModified(doc *xmltree.Node, trie *update.Trie) (Stats, 
 }
 
 func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie *update.Trie, st *Stats, depth int) error {
-	st.noteDepth(depth)
+	st.NoteDepth(depth)
 	// Case 1: untouched subtree — the no-modifications cast applies.
 	if !trie.Modified() && node.Delta == xmltree.DeltaNone {
 		return e.castValidate(τ, τp, node, st, depth, nil, nil)
@@ -93,9 +92,7 @@ func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie
 		if c.Delta == xmltree.DeltaInsert {
 			// Case 3: inserted subtree — full validation, no source
 			// knowledge.
-			bs, err := fullValidateSubtree(e, ν, c)
-			st.addBaseline(bs)
-			if err != nil {
+			if err := fullValidateSubtree(e, ν, c, depth+1, st); err != nil {
 				return err
 			}
 			continue
@@ -103,9 +100,7 @@ func (e *Engine) castValidateMod(τ, τp schema.TypeID, node *xmltree.Node, trie
 		if tS.Simple {
 			// The source type tells us nothing about element children (it
 			// had none); validate explicitly.
-			bs, err := fullValidateSubtree(e, ν, c)
-			st.addBaseline(bs)
-			if err != nil {
+			if err := fullValidateSubtree(e, ν, c, depth+1, st); err != nil {
 				return err
 			}
 			continue

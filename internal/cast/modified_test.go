@@ -53,6 +53,11 @@ func TestModifiedInsertBillTo(t *testing.T) {
 	if st.FullValidations == 0 {
 		t.Fatal("the inserted subtree must be fully validated")
 	}
+	// The full-validation excursion counts depth from the document root:
+	// billTo sits at depth 1, its leaves at depth 2.
+	if st.MaxDepth != 2 {
+		t.Fatalf("MaxDepth = %d, want 2 (%s)", st.MaxDepth, st)
+	}
 	// Without the insert the same cast fails.
 	doc2, tk2 := editedPO(10, false, 2)
 	if _, err := e1.ValidateModified(doc2, tk2.Finalize()); err == nil {

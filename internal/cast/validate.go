@@ -147,7 +147,7 @@ func deweyString(n *xmltree.Node) string {
 // node's element depth (root = 0); tr, when non-nil, receives one event per
 // decision.
 func (e *Engine) castValidate(τ, τp schema.TypeID, node *xmltree.Node, st *Stats, depth int, tr *telemetry.Trace, cc *cancelCheck) error {
-	st.noteDepth(depth)
+	st.NoteDepth(depth)
 	if err := cc.check(st); err != nil {
 		return err
 	}
@@ -188,8 +188,7 @@ func (e *Engine) castValidate(τ, τp schema.TypeID, node *xmltree.Node, st *Sta
 		// content is text or empty; it satisfies the complex target only
 		// when childless with ε in the content model. Full validation of
 		// this shallow node settles it.
-		bs, err := fullValidateSubtree(e, τp, node)
-		st.addBaseline(bs)
+		err := fullValidateSubtree(e, τp, node, depth, st)
 		if tr != nil {
 			tr.Record(e.traceEvent(telemetry.ActionFull, node, depth, τ, τp, "source type simple: full validation against target"))
 		}

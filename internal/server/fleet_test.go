@@ -25,9 +25,8 @@ import (
 
 // TestMetricsJSONFamilies is the /metrics.json regression: the snapshot
 // must carry the full families view — including the scrape-time callback
-// families (hot-pair attribution, registry bridges) the legacy fields
-// never covered — while keeping those legacy fields intact for existing
-// scrapers.
+// families (hot-pair attribution, registry bridges) — next to the cache
+// block that existing scrapers read.
 func TestMetricsJSONFamilies(t *testing.T) {
 	ts := newTestServer(t, registry.Config{})
 	registerFigSchemas(t, ts.URL)
@@ -39,9 +38,9 @@ func TestMetricsJSONFamilies(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("metrics.json: %d %s", code, body)
 	}
-	// The CI smoke greps for this exact legacy fragment; it must survive.
+	// The CI smoke greps for this exact cache fragment; it must survive.
 	if !strings.Contains(body, `"compiles":1`) {
-		t.Fatalf("legacy cache fields missing from %s", body)
+		t.Fatalf("cache fields missing from %s", body)
 	}
 
 	var m metricsBody

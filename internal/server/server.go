@@ -143,13 +143,11 @@ type Options struct {
 	// exponential backoff + full jitter, under the global retry budget).
 	// 0 means DefaultPeerRetries; negative disables retries.
 	PeerRetries int
-	// PeerBreakerFailures, PeerBreakerWindow, PeerBreakerRate and
-	// PeerBreakerOpenFor tune the per-peer circuit breakers; zero fields
-	// take the resilience package defaults (5 consecutive failures, 30s
-	// window, 0.5 error rate, 5s cool-off).
+	// PeerBreakerFailures and PeerBreakerOpenFor tune the per-peer
+	// circuit breakers; zero fields take the resilience package defaults
+	// (5 consecutive failures, 5s cool-off). The error-rate trip always
+	// uses the package defaults (0.5 over a 30s window).
 	PeerBreakerFailures int
-	PeerBreakerWindow   time.Duration
-	PeerBreakerRate     float64
 	PeerBreakerOpenFor  time.Duration
 	// HedgeAfter launches a second artifact fetch against another warm
 	// peer when the first has not answered after this long (or the
@@ -207,14 +205,6 @@ type Server struct {
 	// admit is the in-flight semaphore for work routes; nil disables
 	// admission control.
 	admit chan struct{}
-
-	reqRegister, reqCast, reqBatch, reqPairs atomic.Int64
-	verdictValid, verdictInvalid             atomic.Int64
-
-	// Cumulative streaming-work counters across all cast requests; the
-	// skimmed count is the serving-layer view of the paper's "skipped
-	// subtrees" economy.
-	elementsVisited, elementsSkimmed, automatonSteps, valuesChecked atomic.Int64
 
 	// Prometheus families. Labeled series are resolved in New or once per
 	// request — never per element.
@@ -424,8 +414,6 @@ func New(reg *registry.Registry, opts Options) *Server {
 			stateGauge.Set(int64(resilience.Closed))
 			s.breakers[peer] = resilience.NewBreaker(resilience.BreakerConfig{
 				FailureThreshold: opts.PeerBreakerFailures,
-				Window:           opts.PeerBreakerWindow,
-				RateThreshold:    opts.PeerBreakerRate,
 				OpenFor:          opts.PeerBreakerOpenFor,
 				OnChange: func(from, to resilience.State) {
 					stateGauge.Set(int64(to))
@@ -976,7 +964,6 @@ func governanceStatus(err error) (status int, ok bool) {
 }
 
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	s.reqRegister.Add(1)
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxSchemaBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "reading body: %v", err)
@@ -1018,38 +1005,18 @@ func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, e)
 }
 
-// streamStatsBody is the JSON shape of per-request streaming work.
-type streamStatsBody struct {
-	ElementsVisited int64   `json:"elementsVisited"`
-	ElementsSkimmed int64   `json:"elementsSkimmed"`
-	AutomatonSteps  int64   `json:"automatonSteps"`
-	SymbolsSkipped  int64   `json:"symbolsSkipped"`
-	SubsumedSkips   int64   `json:"subsumedSkips"`
-	DisjointRejects int64   `json:"disjointRejects"`
-	ValuesChecked   int64   `json:"valuesChecked"`
-	MaxDepth        int64   `json:"maxDepth"`
-	WorkSavedRatio  float64 `json:"workSavedRatio"`
-}
-
-func toStatsBody(st revalidate.StreamStats) streamStatsBody {
-	return streamStatsBody{
-		ElementsVisited: st.ElementsVisited,
-		ElementsSkimmed: st.ElementsSkimmed,
-		AutomatonSteps:  st.AutomatonSteps,
-		SymbolsSkipped:  st.SymbolsSkipped,
-		SubsumedSkips:   st.SubsumedSkips,
-		DisjointRejects: st.DisjointRejects,
-		ValuesChecked:   st.ValuesChecked,
-		MaxDepth:        st.MaxDepth,
-		WorkSavedRatio:  st.WorkSavedRatio(),
-	}
+// statsBody is the JSON shape of per-request work: the counters plus the
+// stream's work-saved ratio.
+type statsBody struct {
+	revalidate.Stats
+	WorkSavedRatio float64 `json:"workSavedRatio"`
 }
 
 // recordPair attributes one cast's wall-clock cost and work economy to its
 // schema pair in the bounded hot-pair table. The label is the pair
 // artifact key's first 12 hex digits: content-addressed (stable across
 // nodes and schema renames) and short enough for dashboards.
-func (s *Server) recordPair(p *registry.Pair, d time.Duration, st revalidate.StreamStats, casts int64) {
+func (s *Server) recordPair(p *registry.Pair, d time.Duration, st revalidate.Stats, casts int64) {
 	if s.hotPairs == nil || p == nil || p.Src == nil || p.Dst == nil {
 		return
 	}
@@ -1064,14 +1031,9 @@ func (s *Server) recordPair(p *registry.Pair, d time.Duration, st revalidate.Str
 }
 
 // recordStats folds one request's streaming work into the cumulative
-// counters (legacy JSON atomics and Prometheus families) and returns the
-// per-request JSON body. One call per request — the engines never touch
-// telemetry mid-validation.
-func (s *Server) recordStats(st revalidate.StreamStats) streamStatsBody {
-	s.elementsVisited.Add(st.ElementsVisited)
-	s.elementsSkimmed.Add(st.ElementsSkimmed)
-	s.automatonSteps.Add(st.AutomatonSteps)
-	s.valuesChecked.Add(st.ValuesChecked)
+// Prometheus families and returns the per-request JSON body. One call per
+// request — the engines never touch telemetry mid-validation.
+func (s *Server) recordStats(st revalidate.Stats) statsBody {
 	s.mElemVisited.Add(st.ElementsVisited)
 	s.mElemSkimmed.Add(st.ElementsSkimmed)
 	s.mSubtreesSkipped.Add(st.SubsumedSkips)
@@ -1079,19 +1041,18 @@ func (s *Server) recordStats(st revalidate.StreamStats) streamStatsBody {
 	s.mSymbolsScanned.Add(st.AutomatonSteps)
 	s.mSymbolsSkipped.Add(st.SymbolsSkipped)
 	s.mValuesChecked.Add(st.ValuesChecked)
-	return toStatsBody(st)
+	return statsBody{Stats: st, WorkSavedRatio: st.WorkSavedRatio()}
 }
 
 type castResponse struct {
-	Valid bool            `json:"valid"`
-	Error string          `json:"error,omitempty"`
-	Stats streamStatsBody `json:"stats"`
+	Valid bool      `json:"valid"`
+	Error string    `json:"error,omitempty"`
+	Stats statsBody `json:"stats"`
 	// Trace holds the decision events when the request asked ?explain=1.
 	Trace []revalidate.TraceEvent `json:"trace,omitempty"`
 }
 
 func (s *Server) handleCast(w http.ResponseWriter, r *http.Request) {
-	s.reqCast.Add(1)
 	p, ok := s.pair(w, r)
 	if !ok {
 		return
@@ -1113,7 +1074,7 @@ func (s *Server) handleCast(w http.ResponseWriter, r *http.Request) {
 	body = faultinject.Reader(body)
 	sp := telemetry.SpanFromContext(r.Context()).StartChild("cast.validate")
 	var (
-		st    revalidate.StreamStats
+		st    revalidate.Stats
 		trace []revalidate.TraceEvent
 		err   error
 	)
@@ -1138,11 +1099,9 @@ func (s *Server) handleCast(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := castResponse{Valid: err == nil, Stats: s.recordStats(st), Trace: trace}
 	if err != nil {
-		s.verdictInvalid.Add(1)
 		s.verdicts.With("invalid").Inc()
 		resp.Error = err.Error()
 	} else {
-		s.verdictValid.Add(1)
 		s.verdicts.With("valid").Inc()
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -1162,7 +1121,7 @@ func (s *Server) observeCast(d time.Duration, sp *telemetry.Span) {
 // decision-trace events when the request asked for ?explain=1. An invalid
 // document is a verdict, not a span error — the tail sampler should not
 // retain every rejection, only requests the daemon itself failed.
-func annotateCastSpan(sp *telemetry.Span, st revalidate.StreamStats, trace []revalidate.TraceEvent, err error) {
+func annotateCastSpan(sp *telemetry.Span, st revalidate.Stats, trace []revalidate.TraceEvent, err error) {
 	if sp == nil {
 		return
 	}
@@ -1179,7 +1138,7 @@ func annotateCastSpan(sp *telemetry.Span, st revalidate.StreamStats, trace []rev
 	sp.SetAttr("symbols.skipped", st.SymbolsSkipped)
 	sp.SetAttr("work.saved_ratio", st.WorkSavedRatio())
 	for _, ev := range trace {
-		sp.AddEvent(ev.Action,
+		sp.AddEvent(string(ev.Action),
 			telemetry.Attr{Key: "path", Value: ev.Path},
 			telemetry.Attr{Key: "dewey", Value: ev.Dewey},
 			telemetry.Attr{Key: "src_type", Value: ev.SrcType},
@@ -1194,12 +1153,11 @@ type batchResponse struct {
 	Invalid int `json:"invalid"`
 	// Verdicts holds one entry per document: null when valid, the
 	// rejection reason otherwise.
-	Verdicts []*string       `json:"verdicts"`
-	Stats    streamStatsBody `json:"stats"`
+	Verdicts []*string `json:"verdicts"`
+	Stats    statsBody `json:"stats"`
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqBatch.Add(1)
 	p, ok := s.pair(w, r)
 	if !ok {
 		return
@@ -1285,8 +1243,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			resp.Valid++
 		}
 	}
-	s.verdictValid.Add(int64(resp.Valid))
-	s.verdictInvalid.Add(int64(resp.Invalid))
 	s.verdicts.With("valid").Add(int64(resp.Valid))
 	s.verdicts.With("invalid").Add(int64(resp.Invalid))
 	writeJSON(w, http.StatusOK, resp)
@@ -1300,7 +1256,6 @@ type pairsResponse struct {
 }
 
 func (s *Server) handlePairs(w http.ResponseWriter, r *http.Request) {
-	s.reqPairs.Add(1)
 	p, ok := s.pair(w, r)
 	if !ok {
 		return
@@ -1334,40 +1289,14 @@ func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 }
 
 type metricsBody struct {
-	Requests struct {
-		Register int64 `json:"register"`
-		Cast     int64 `json:"cast"`
-		Batch    int64 `json:"batch"`
-		Pairs    int64 `json:"pairs"`
-	} `json:"requests"`
-	Verdicts struct {
-		Valid   int64 `json:"valid"`
-		Invalid int64 `json:"invalid"`
-	} `json:"verdicts"`
-	Stream streamStatsBody `json:"stream"`
-	Cache  registry.Stats  `json:"cache"`
+	Cache registry.Stats `json:"cache"`
 	// Families is the full registry snapshot — every family the text
 	// exposition renders, including the scrape-time callback families
-	// (hot-pair attribution, registry bridges) that the legacy fields
-	// above never covered. /debug/fleet merges peers from this field.
+	// (hot-pair attribution, registry bridges). /debug/fleet merges peers
+	// from this field.
 	Families []telemetry.FamilySnapshot `json:"families"`
 }
 
 func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	var m metricsBody
-	m.Requests.Register = s.reqRegister.Load()
-	m.Requests.Cast = s.reqCast.Load()
-	m.Requests.Batch = s.reqBatch.Load()
-	m.Requests.Pairs = s.reqPairs.Load()
-	m.Verdicts.Valid = s.verdictValid.Load()
-	m.Verdicts.Invalid = s.verdictInvalid.Load()
-	m.Stream = streamStatsBody{
-		ElementsVisited: s.elementsVisited.Load(),
-		ElementsSkimmed: s.elementsSkimmed.Load(),
-		AutomatonSteps:  s.automatonSteps.Load(),
-		ValuesChecked:   s.valuesChecked.Load(),
-	}
-	m.Cache = s.reg.Stats()
-	m.Families = s.met.Gather()
-	writeJSON(w, http.StatusOK, m)
+	writeJSON(w, http.StatusOK, metricsBody{Cache: s.reg.Stats(), Families: s.met.Gather()})
 }

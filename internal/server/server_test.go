@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/registry"
+	"repro/internal/telemetry"
 	"repro/internal/wgen"
 )
 
@@ -144,29 +145,27 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatalf("metrics: %d", code)
 	}
 	var m struct {
-		Requests struct {
-			Register, Cast, Pairs int64
-		} `json:"requests"`
-		Verdicts struct{ Valid, Invalid int64 } `json:"verdicts"`
-		Stream   struct {
-			ElementsVisited int64 `json:"elementsVisited"`
-		} `json:"stream"`
 		Cache struct {
 			Pairs    int   `json:"pairs"`
 			Compiles int64 `json:"compiles"`
 			Hits     int64 `json:"hits"`
 		} `json:"cache"`
+		Families []telemetry.FamilySnapshot `json:"families"`
 	}
 	if err := json.Unmarshal([]byte(body), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Requests.Register != 2 || m.Requests.Cast != 2 || m.Requests.Pairs != 2 {
-		t.Fatalf("request counters wrong: %s", body)
+	for _, route := range []string{"register", "cast", "pairs"} {
+		if n := familySum(m.Families, "http_requests_total", "route", route); n != 2 {
+			t.Fatalf("http_requests_total{route=%q} = %v, want 2: %s", route, n, body)
+		}
 	}
-	if m.Verdicts.Valid != 1 || m.Verdicts.Invalid != 1 {
-		t.Fatalf("verdict counters wrong: %s", body)
+	for _, verdict := range []string{"valid", "invalid"} {
+		if n := familySum(m.Families, "cast_verdicts_total", "verdict", verdict); n != 1 {
+			t.Fatalf("cast_verdicts_total{verdict=%q} = %v, want 1: %s", verdict, n, body)
+		}
 	}
-	if m.Stream.ElementsVisited == 0 || m.Cache.Pairs != 2 || m.Cache.Compiles != 2 || m.Cache.Hits == 0 {
+	if familySum(m.Families, "cast_elements_visited_total", "", "") == 0 || m.Cache.Pairs != 2 || m.Cache.Compiles != 2 || m.Cache.Hits == 0 {
 		t.Fatalf("stream/cache counters wrong: %s", body)
 	}
 
@@ -174,6 +173,23 @@ func TestEndToEnd(t *testing.T) {
 	if code, body := do(t, "GET", ts.URL+"/healthz", ""); code != 200 || !strings.Contains(body, "ok") {
 		t.Fatalf("healthz: %d %s", code, body)
 	}
+}
+
+// familySum adds up the samples of the named family in a /metrics.json
+// snapshot whose label key has value val (every sample when key is "").
+func familySum(fams []telemetry.FamilySnapshot, name, key, val string) float64 {
+	sum := 0.0
+	for _, f := range fams {
+		if f.Name != name {
+			continue
+		}
+		for _, smp := range f.Samples {
+			if key == "" || smp.Labels[key] == val {
+				sum += smp.Value
+			}
+		}
+	}
+	return sum
 }
 
 func TestBatchEndpoint(t *testing.T) {

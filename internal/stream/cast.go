@@ -206,7 +206,7 @@ func (c *Caster) validateStd(ctx context.Context, r io.Reader, tr *telemetry.Tra
 				if err := lim.checkElements(st.ElementsVisited + st.ElementsSkimmed); err != nil {
 					return st, err
 				}
-				st.noteDepth(len(stack) + skimDepth - 1)
+				st.NoteDepth(len(stack) + skimDepth - 1)
 				continue
 			}
 			label := t.Name.Local
@@ -283,7 +283,7 @@ func (c *Caster) validateStd(ctx context.Context, r io.Reader, tr *telemetry.Tra
 			if err := lim.checkElements(st.ElementsVisited + st.ElementsSkimmed); err != nil {
 				return st, err
 			}
-			st.noteDepth(len(stack))
+			st.NoteDepth(len(stack))
 			if c.Rel.Subsumed(τ, τp) {
 				st.SubsumedSkips++
 				if tr != nil {

@@ -156,7 +156,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 			if err := lim.checkElements(st.ElementsVisited + st.ElementsSkimmed); err != nil {
 				return st, err
 			}
-			st.noteDepth(len(stack))
+			st.NoteDepth(len(stack))
 			if c.Rel.Subsumed(τ, τp) {
 				st.SubsumedSkips++
 				if tr != nil {
@@ -187,7 +187,7 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 						countdown -= int(res.Elements)
 					}
 					if res.MaxOpen > 0 {
-						st.noteDepth(res.MaxOpen - 1)
+						st.NoteDepth(res.MaxOpen - 1)
 					}
 					if skimErr != nil {
 						switch skimErr {

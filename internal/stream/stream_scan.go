@@ -126,7 +126,7 @@ func (v *Validator) validateScan(ctx context.Context, r io.Reader, lim Limits) (
 			if err := lim.checkElements(st.ElementsVisited); err != nil {
 				return st, err
 			}
-			st.noteDepth(len(stack))
+			st.NoteDepth(len(stack))
 			stack = pushSFrame(stack, v.S.TypeOf(τ))
 		case xmlscan.EventEnd:
 			if len(stack) == 0 {

@@ -51,72 +51,3 @@ func runWorkers(n, workers int, body func(claim func() (int, bool))) {
 	}
 	wg.Wait()
 }
-
-// Add accumulates d into s (single-goroutine use); callers serving many
-// validations merge per-request stats into cumulative totals with it.
-// MaxDepth merges with max, not sum.
-func (s *Stats) Add(d Stats) {
-	s.ElementsVisited += d.ElementsVisited
-	s.TextNodesVisited += d.TextNodesVisited
-	s.AutomatonSteps += d.AutomatonSteps
-	s.SymbolsSkipped += d.SymbolsSkipped
-	s.SubsumedSkips += d.SubsumedSkips
-	s.DisjointRejects += d.DisjointRejects
-	s.FullValidations += d.FullValidations
-	s.ReverseScans += d.ReverseScans
-	if d.MaxDepth > s.MaxDepth {
-		s.MaxDepth = d.MaxDepth
-	}
-}
-
-// atomicAdd merges d into s with atomic adds; workers call it once with
-// their local totals, so a batch's statistics need no mutex.
-func (s *Stats) atomicAdd(d Stats) {
-	atomic.AddInt64(&s.ElementsVisited, d.ElementsVisited)
-	atomic.AddInt64(&s.TextNodesVisited, d.TextNodesVisited)
-	atomic.AddInt64(&s.AutomatonSteps, d.AutomatonSteps)
-	atomic.AddInt64(&s.SymbolsSkipped, d.SymbolsSkipped)
-	atomic.AddInt64(&s.SubsumedSkips, d.SubsumedSkips)
-	atomic.AddInt64(&s.DisjointRejects, d.DisjointRejects)
-	atomic.AddInt64(&s.FullValidations, d.FullValidations)
-	atomic.AddInt64(&s.ReverseScans, d.ReverseScans)
-	atomicMax(&s.MaxDepth, d.MaxDepth)
-}
-
-// atomicMax raises *addr to v via CAS (no-op when v is not larger).
-func atomicMax(addr *int64, v int64) {
-	for {
-		cur := atomic.LoadInt64(addr)
-		if v <= cur || atomic.CompareAndSwapInt64(addr, cur, v) {
-			return
-		}
-	}
-}
-
-// Add accumulates d into s (single-goroutine use); callers serving many
-// validations merge per-request stats into cumulative totals with it.
-// MaxDepth merges with max, not sum.
-func (s *StreamStats) Add(d StreamStats) {
-	s.ElementsVisited += d.ElementsVisited
-	s.ElementsSkimmed += d.ElementsSkimmed
-	s.AutomatonSteps += d.AutomatonSteps
-	s.SymbolsSkipped += d.SymbolsSkipped
-	s.SubsumedSkips += d.SubsumedSkips
-	s.DisjointRejects += d.DisjointRejects
-	s.ValuesChecked += d.ValuesChecked
-	if d.MaxDepth > s.MaxDepth {
-		s.MaxDepth = d.MaxDepth
-	}
-}
-
-// atomicAdd merges d into s with atomic adds.
-func (s *StreamStats) atomicAdd(d StreamStats) {
-	atomic.AddInt64(&s.ElementsVisited, d.ElementsVisited)
-	atomic.AddInt64(&s.ElementsSkimmed, d.ElementsSkimmed)
-	atomic.AddInt64(&s.AutomatonSteps, d.AutomatonSteps)
-	atomic.AddInt64(&s.SymbolsSkipped, d.SymbolsSkipped)
-	atomic.AddInt64(&s.SubsumedSkips, d.SubsumedSkips)
-	atomic.AddInt64(&s.DisjointRejects, d.DisjointRejects)
-	atomic.AddInt64(&s.ValuesChecked, d.ValuesChecked)
-	atomicMax(&s.MaxDepth, d.MaxDepth)
-}

@@ -82,6 +82,32 @@ func TestCasterVsFullValidation(t *testing.T) {
 	}
 }
 
+// TestFullAndStreamValidationCountAlike: the tree baseline and the
+// streaming validator do the same full validation, so on accepted
+// documents they report the same element, automaton-step and depth
+// counters.
+func TestFullAndStreamValidationCountAlike(t *testing.T) {
+	_, _, dst := loadPaperPair(t)
+	for _, items := range []int{1, 10, 100, 500} {
+		xml := poDocXML(items, true)
+		doc, err := ParseDocumentString(xml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := dst.ValidateFull(doc)
+		if err != nil {
+			t.Fatalf("%d items: full validation: %v", items, err)
+		}
+		strm, err := dst.ValidateStream(strings.NewReader(xml))
+		if err != nil {
+			t.Fatalf("%d items: stream validation: %v", items, err)
+		}
+		if full.ElementsVisited != strm.ElementsVisited || full.AutomatonSteps != strm.AutomatonSteps || full.MaxDepth != strm.MaxDepth {
+			t.Fatalf("%d items: ValidateFull %+v, ValidateStream %+v", items, full, strm)
+		}
+	}
+}
+
 func TestCasterOptions(t *testing.T) {
 	_, src, dst := loadPaperPair(t)
 	for _, opts := range [][]CasterOption{

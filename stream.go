@@ -8,71 +8,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// StreamStats counts the work of a streaming validation. Field names are
-// shared with Stats and the internal engines so a counter means the same
-// thing wherever it appears.
-type StreamStats struct {
-	// ElementsVisited counts elements that received validation work.
-	ElementsVisited int64
-	// ElementsSkimmed counts elements consumed inside subsumed subtrees
-	// with no validation work at all (streaming cast only).
-	ElementsSkimmed int64
-	// AutomatonSteps counts content-model transitions taken — the number of
-	// child-label symbols scanned.
-	AutomatonSteps int64
-	// SymbolsSkipped counts child labels that arrived after an immediate
-	// decision automaton had already settled the content-model verdict.
-	SymbolsSkipped int64
-	// SubsumedSkips counts subtrees skimmed because the source type is
-	// subsumed by the target type.
-	SubsumedSkips int64
-	// DisjointRejects counts rejections caused by disjoint type pairs.
-	DisjointRejects int64
-	// ValuesChecked counts simple values tested against facets.
-	ValuesChecked int64
-	// MaxDepth is the deepest element depth reached (root = 0). Batch
-	// totals merge it with max, not sum.
-	MaxDepth int64
-}
-
-// WorkSavedRatio is the fraction of elements the caster skimmed instead of
-// validating: skimmed/(visited+skimmed). 0 when nothing flowed.
-func (s StreamStats) WorkSavedRatio() float64 {
-	total := s.ElementsVisited + s.ElementsSkimmed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.ElementsSkimmed) / float64(total)
-}
-
-// SymbolsScannedRatio is the fraction of content-model symbols actually
-// scanned out of all symbols seen: steps/(steps+skipped). 1 when no
-// immediate decision fired.
-func (s StreamStats) SymbolsScannedRatio() float64 {
-	total := s.AutomatonSteps + s.SymbolsSkipped
-	if total == 0 {
-		return 1
-	}
-	return float64(s.AutomatonSteps) / float64(total)
-}
-
-func fromStreamStats(s stream.Stats) StreamStats {
-	return StreamStats{
-		ElementsVisited: s.ElementsVisited,
-		ElementsSkimmed: s.ElementsSkimmed,
-		AutomatonSteps:  s.AutomatonSteps,
-		SymbolsSkipped:  s.SymbolsSkipped,
-		SubsumedSkips:   s.SubsumedSkips,
-		DisjointRejects: s.DisjointRejects,
-		ValuesChecked:   s.ValuesChecked,
-		MaxDepth:        s.MaxDepth,
-	}
-}
+// StreamStats is an alias of Stats, kept for callers that name the
+// streaming work counter.
+type StreamStats = Stats
 
 // ValidateStream fully validates one XML document read from r, without
 // building a document tree: memory is proportional to element depth. For
 // revalidation with source-schema knowledge use a StreamCaster.
-func (s *Schema) ValidateStream(r io.Reader) (StreamStats, error) {
+func (s *Schema) ValidateStream(r io.Reader) (Stats, error) {
 	return s.ValidateStreamContext(context.Background(), r, Limits{})
 }
 
@@ -83,9 +26,8 @@ func (s *Schema) ValidateStream(r io.Reader) (StreamStats, error) {
 // is unlimited. Full validation serves untrusted input more often than
 // the cast path does, so governed entry points matter at least as much
 // here.
-func (s *Schema) ValidateStreamContext(ctx context.Context, r io.Reader, lim Limits) (StreamStats, error) {
-	st, err := stream.NewValidator(s.s).ValidateContext(ctx, r, lim)
-	return fromStreamStats(st), err
+func (s *Schema) ValidateStreamContext(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
+	return stream.NewValidator(s.s).ValidateContext(ctx, r, lim)
 }
 
 // StreamCaster performs schema cast validation over a token stream: the
@@ -116,9 +58,8 @@ func NewStreamCaster(src, dst *Schema) (*StreamCaster, error) {
 
 // Validate reads one XML document from r — assumed valid under the source
 // schema — and decides validity under the target schema.
-func (c *StreamCaster) Validate(r io.Reader) (StreamStats, error) {
-	st, err := c.c.Validate(r)
-	return fromStreamStats(st), err
+func (c *StreamCaster) Validate(r io.Reader) (Stats, error) {
+	return c.c.Validate(r)
 }
 
 // ValidateContext is Validate with cooperative cancellation and resource
@@ -128,38 +69,37 @@ func (c *StreamCaster) Validate(r io.Reader) (StreamStats, error) {
 // bounds is rejected with a *LimitError. The zero Limits is unlimited.
 // This is the entry point a daemon should use: it bounds what one hostile
 // document or one slow client can cost.
-func (c *StreamCaster) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (StreamStats, error) {
-	st, err := c.c.ValidateContext(ctx, r, lim)
-	return fromStreamStats(st), err
+func (c *StreamCaster) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
+	return c.c.ValidateContext(ctx, r, lim)
 }
 
 // ValidateTraced is Validate in trace mode: alongside the verdict and
 // statistics it returns the decision trace — one event per skim, reject and
 // descend, in document order. Trace mode allocates; use Validate on hot
 // paths.
-func (c *StreamCaster) ValidateTraced(r io.Reader) (StreamStats, []TraceEvent, error) {
+func (c *StreamCaster) ValidateTraced(r io.Reader) (Stats, []TraceEvent, error) {
 	tr := &telemetry.Trace{}
 	st, err := c.c.ValidateTrace(r, tr)
-	return fromStreamStats(st), fromTraceEvents(tr), err
+	return st, tr.Events(), err
 }
 
 // ValidateTracedContext is ValidateTraced with the cancellation and limit
 // behavior of ValidateContext.
-func (c *StreamCaster) ValidateTracedContext(ctx context.Context, r io.Reader, lim Limits) (StreamStats, []TraceEvent, error) {
+func (c *StreamCaster) ValidateTracedContext(ctx context.Context, r io.Reader, lim Limits) (Stats, []TraceEvent, error) {
 	tr := &telemetry.Trace{}
 	st, err := c.c.ValidateTraceContext(ctx, r, tr, lim)
-	return fromStreamStats(st), fromTraceEvents(tr), err
+	return st, tr.Events(), err
 }
 
 // ValidateAll validates one document per reader concurrently on a pool of
 // workers sharing this caster — the broker shape: many connections, one
 // preprocessed schema pair. workers <= 0 uses one worker per logical CPU.
 // The returned slice holds one verdict per reader (nil when valid), and
-// the StreamStats are the batch totals, merged from per-worker counters
+// the Stats are the batch totals, merged from per-worker counters
 // with atomic adds. Each reader is consumed by exactly one worker, and a
 // reader that fails mid-stream fails only its own slot (with the reader's
 // error wrapped), never its siblings.
-func (c *StreamCaster) ValidateAll(rs []io.Reader, workers int) ([]error, StreamStats) {
+func (c *StreamCaster) ValidateAll(rs []io.Reader, workers int) ([]error, Stats) {
 	return c.ValidateAllContext(context.Background(), rs, workers, Limits{})
 }
 
@@ -169,15 +109,15 @@ func (c *StreamCaster) ValidateAll(rs []io.Reader, workers int) ([]error, Stream
 // panicking worker yields a *PanicError verdict for its own slot, never
 // crashes the pool), and a canceled batch marks every unclaimed slot with
 // the context's cause instead of consuming its reader.
-func (c *StreamCaster) ValidateAllContext(ctx context.Context, rs []io.Reader, workers int, lim Limits) ([]error, StreamStats) {
+func (c *StreamCaster) ValidateAllContext(ctx context.Context, rs []io.Reader, workers int, lim Limits) ([]error, Stats) {
 	if len(rs) == 0 {
-		return nil, StreamStats{}
+		return nil, Stats{}
 	}
 	errs := make([]error, len(rs))
 	done := ctx.Done()
-	var total StreamStats
+	var total Stats
 	runWorkers(len(rs), workers, func(claim func() (int, bool)) {
-		var local StreamStats
+		var local Stats
 		for {
 			i, ok := claim()
 			if !ok {
@@ -187,13 +127,13 @@ func (c *StreamCaster) ValidateAllContext(ctx context.Context, rs []io.Reader, w
 				errs[i] = context.Cause(ctx)
 				continue
 			}
-			st, err := guardValidate(func() (stream.Stats, error) {
+			st, err := guardValidate(func() (Stats, error) {
 				return c.c.ValidateContext(ctx, rs[i], lim)
 			})
 			errs[i] = err
-			local.Add(fromStreamStats(st))
+			local.Add(st)
 		}
-		total.atomicAdd(local)
+		total.AtomicAdd(local)
 	})
 	return errs, total
 }
