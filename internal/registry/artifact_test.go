@@ -58,6 +58,9 @@ func TestArtifactWarmLookup(t *testing.T) {
 	if p2.Cost != p1.Cost {
 		t.Fatalf("warm cost %d != cold cost %d (both should be the blob size)", p2.Cost, p1.Cost)
 	}
+	if want := artifact.Key(p1.Src.Hash, p1.Dst.Hash); p1.ArtifactKey != want || p2.ArtifactKey != want {
+		t.Fatalf("artifact keys cold %q, warm %q, want %q", p1.ArtifactKey, p2.ArtifactKey, want)
+	}
 	if _, err := p2.Stream.Validate(strings.NewReader(poXML(true))); err != nil {
 		t.Fatalf("warm pair rejected valid doc: %v", err)
 	}

@@ -90,6 +90,10 @@ type Pair struct {
 	// product IDAs). Only if encoding fails does it fall back to the old
 	// costPerIDAState estimate.
 	Cost int64
+	// ArtifactKey is artifact.Key over the two schemas' content hashes,
+	// computed once when the pair is built or loaded: it names the pair's
+	// artifact blob and, as its first 12 hex digits, its hot-pair label.
+	ArtifactKey string
 }
 
 // costPerIDAState approximates the memory of one product-IDA state (dense
@@ -405,7 +409,7 @@ func (r *Registry) PairCtx(ctx context.Context, srcID, dstID string) (*Pair, Loo
 			pair.CompileTime = d
 		}
 		if err == nil && blob != nil && r.store != nil {
-			if perr := r.store.Put(artifact.Key(src.Hash, dst.Hash), blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
+			if perr := r.store.Put(pair.ArtifactKey, blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
 				r.logger.LogAttrs(ctx, slog.LevelWarn, "registry: artifact write-through failed",
 					slog.String("src", src.ID),
 					slog.String("dst", dst.ID),
@@ -508,7 +512,8 @@ func compilePair(src, dst *SchemaEntry) (*Pair, []byte, error) {
 		Src: src, Dst: dst,
 		SrcSchema: ss, DstSchema: ds,
 		Caster: c, Stream: sc,
-		Report: report,
+		Report:      report,
+		ArtifactKey: artifact.Key(src.Hash, dst.Hash),
 	}
 	blob, err := artifact.Encode(src.artifactInfo(), dst.artifactInfo(), c, report)
 	if err != nil {
@@ -553,8 +558,9 @@ func pairFromDecoded(src, dst *SchemaEntry, dec *artifact.Decoded) *Pair {
 		Src: src, Dst: dst,
 		SrcSchema: dec.SrcSchema, DstSchema: dec.DstSchema,
 		Caster: dec.Caster, Stream: dec.Stream,
-		Report: dec.Report,
-		Cost:   int64(dec.Size),
+		Report:      dec.Report,
+		Cost:        int64(dec.Size),
+		ArtifactKey: artifact.Key(src.Hash, dst.Hash),
 	}
 }
 
@@ -705,7 +711,7 @@ func (r *Registry) InstallArtifact(ctx context.Context, srcID, dstID string, blo
 	r.logEvictions(ctx, victims)
 
 	if r.store != nil {
-		if perr := r.store.Put(artifact.Key(src.Hash, dst.Hash), blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
+		if perr := r.store.Put(pair.ArtifactKey, blob); perr != nil && !errors.Is(perr, artifact.ErrDegraded) && r.logger != nil {
 			r.logger.LogAttrs(ctx, slog.LevelWarn, "registry: artifact write-through failed",
 				slog.String("src", srcID),
 				slog.String("dst", dstID),
@@ -733,7 +739,7 @@ func (r *Registry) ArtifactBlob(key string) ([]byte, error) {
 		default:
 			continue
 		}
-		if e.err == nil && e.pair != nil && artifact.Key(e.pair.Src.Hash, e.pair.Dst.Hash) == key {
+		if e.err == nil && e.pair != nil && e.pair.ArtifactKey == key {
 			pair = e.pair
 			break
 		}

@@ -191,6 +191,19 @@ func TestHotpairsEndpoint(t *testing.T) {
 	if e.Seconds <= 0 {
 		t.Errorf("no wall-clock attributed: %+v", e)
 	}
+	// The label is the first 12 hex digits of the pair's artifact key over
+	// the two schema hashes; dashboards and peers key on it.
+	hash := func(id string) string {
+		var entry registry.SchemaEntry
+		_, body := do(t, "GET", ts.URL+"/schemas/"+id, "")
+		if err := json.Unmarshal([]byte(body), &entry); err != nil {
+			t.Fatalf("schema %s JSON: %v in %s", id, err, body)
+		}
+		return entry.Hash
+	}
+	if want := artifact.Key(hash("v1"), hash("v2"))[:12]; e.Key != want || e.Key != "a108b6f07bdf" {
+		t.Errorf("hot-pair key %q, want artifact key prefix %q (a108b6f07bdf for the Figure 2 pair)", e.Key, want)
+	}
 
 	_, metrics := do(t, "GET", ts.URL+"/metrics", "")
 	for _, want := range []string{

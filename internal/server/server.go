@@ -1020,8 +1020,7 @@ func (s *Server) recordPair(p *registry.Pair, d time.Duration, st revalidate.Sta
 	if s.hotPairs == nil || p == nil || p.Src == nil || p.Dst == nil {
 		return
 	}
-	key := artifact.Key(p.Src.Hash, p.Dst.Hash)[:12]
-	s.hotPairs.Observe(key, p.Src.ID, p.Dst.ID, hotpair.Stats{
+	s.hotPairs.Observe(p.ArtifactKey[:12], p.Src.ID, p.Dst.ID, hotpair.Stats{
 		Casts:           casts,
 		Seconds:         d.Seconds(),
 		ElementsVisited: st.ElementsVisited,

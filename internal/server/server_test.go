@@ -356,6 +356,17 @@ func TestGracefulDrain(t *testing.T) {
 	if _, err := io.WriteString(pw, doc[:half]); err != nil {
 		t.Fatal(err)
 	}
+	// Wait until the handler runs the cast (the scrape itself is the other
+	// in-flight request): a connection Shutdown finds still unaccepted, or
+	// without a request read, is closed rather than drained.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if _, m := do(t, "GET", base+"/metrics", ""); strings.Contains(m, "http_in_flight_requests 2") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("cast request never reached the handler")
+		}
+	}
 	// Start draining (as castd does on SIGTERM, before calling Shutdown):
 	// /healthz must flip to 503 so load balancers stop routing here, while
 	// the mid-body cast request keeps running.

@@ -4,47 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/wgen"
 )
 
-// diffSeeds is the shared seed corpus of the differential fuzz targets:
-// documents chosen to steer the fuzzer into the scanner's grammar corners
-// (CDATA, character and entity references, comments and PIs inside
-// skimmed subtrees, directives) and into the well-formedness fixes this
-// package guards (trailing garbage, stray end tags).
+// diffSeeds seeds a differential fuzz target with the shared grammar-corner
+// corpus.
 func diffSeeds(f *testing.F) {
-	valid := poXML(5, true, 99, 1)
-	seeds := []string{
-		valid,
-		poXML(5, false, 99, 2),
-		valid[:len(valid)/2],
-		// Grammar corners inside a skimmed subtree.
-		strings.Replace(valid, "<shipTo>", "<shipTo><!-- inside a skim -->", 1),
-		strings.Replace(valid, "<city>", "<city><![CDATA[ <raw> ]]>", 1),
-		strings.Replace(valid, "<street>", "<street>&amp;&#65;&#x42;", 1),
-		strings.Replace(valid, "<shipTo>", "<shipTo><?pi data?>", 1),
-		// Prolog, doctype, entities, char refs, CDATA at top level.
-		`<?xml version="1.0" encoding="UTF-8"?><purchaseOrder/>`,
-		`<!DOCTYPE purchaseOrder [<!-- inner -->]><purchaseOrder/>`,
-		`<a>&lt;&gt;&apos;&quot;&#xD800;</a>`,
-		`<a><![CDATA[]]></a>`,
-		`<a><![CDATA[no close`,
-		// Well-formedness regressions.
-		`<purchaseOrder/>trailing garbage`,
-		`</purchaseOrder>`,
-		`<purchaseOrder></purchaseOrder></purchaseOrder>`,
-		"\uFEFF<purchaseOrder/>",
-		"<purchaseOrder/>\uFEFF",
-		// Structural hostility.
-		strings.Repeat(`<shipTo>`, 200),
-		`<a b="&#34;" c='&#39;'/>`,
-		"",
-		"\xff\xfe\x00<not xml",
-	}
-	for _, s := range seeds {
+	for _, s := range wgen.GrammarCorners() {
 		f.Add([]byte(s))
 	}
 }

@@ -14,8 +14,10 @@
 //     (accept) before the remaining children arrive.
 //
 // Unlike the tree engine, a streaming caster cannot avoid *reading* skipped
-// input — the bytes still flow through the tokenizer — but it avoids all
-// validation work for them, which is where the time goes in practice.
+// input, but it avoids all validation work for it and most tokenizing:
+// xmlscan.SkimSubtree walks the skipped bytes in its read window, checking
+// well-formedness without producing events, and falls back to the
+// per-token scanner only for markup it does not take whole.
 package stream
 
 import (

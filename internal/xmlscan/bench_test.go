@@ -1,0 +1,41 @@
+package xmlscan
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/wgen"
+)
+
+// BenchmarkSkimSubtree measures native skim throughput (MB/s) on the
+// purchase orders the served cast skims: open the root with Next, then
+// skim its whole subtree.
+func BenchmarkSkimSubtree(b *testing.B) {
+	for _, items := range []int{500, 2000} {
+		data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: items, IncludeBillTo: true, Seed: 11}))
+		b.Run(fmt.Sprintf("items=%d", items), func(b *testing.B) {
+			b.SetBytes(int64(len(data)))
+			b.ReportAllocs()
+			r := bytes.NewReader(data)
+			for i := 0; i < b.N; i++ {
+				r.Reset(data)
+				s := Get(r)
+				for {
+					ev, err := s.Next()
+					if err != nil || ev == EventEOF {
+						b.Fatalf("no root element: %v", err)
+					}
+					if ev == EventStart {
+						break
+					}
+				}
+				res, err := s.SkimSubtree(SkimLimits{BaseOpen: s.Depth()})
+				if err != nil || !res.Done {
+					b.Fatalf("skim: done=%t err=%v", res.Done, err)
+				}
+				s.Release()
+			}
+		})
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // tokenize runs the scanner over doc and flattens the result: one
@@ -351,5 +352,141 @@ func TestPoolReuse(t *testing.T) {
 			}
 		}
 		s.Release()
+	}
+}
+
+// skimOutcome skims the subtree of the first <skip> element of doc, read
+// through r, calling SkimSubtree until it finishes or fails, and renders
+// each call's result, the error with the scanner's offset, and the event
+// that follows the skim.
+func skimOutcome(t *testing.T, r io.Reader, lim SkimLimits) string {
+	t.Helper()
+	s := NewScanner(r)
+	advanceTo(t, s, "skip")
+	lim.BaseOpen = s.Depth()
+	var b strings.Builder
+	for {
+		res, err := s.SkimSubtree(lim)
+		fmt.Fprintf(&b, "%d/%d/%t ", res.Elements, res.MaxOpen, res.Done)
+		if err != nil {
+			fmt.Fprintf(&b, "error %q at %d", err, s.InputOffset())
+			return b.String()
+		}
+		lim.BaseElements += res.Elements
+		if res.Done {
+			break
+		}
+	}
+	ev, err := s.Next()
+	switch ev {
+	case EventStart:
+		fmt.Fprintf(&b, "then start %q", s.Name())
+	case EventEnd:
+		fmt.Fprintf(&b, "then end %q", s.Name())
+	case EventText:
+		fmt.Fprintf(&b, "then text %q", s.Text())
+	default:
+		fmt.Fprintf(&b, "then EOF %v", err)
+	}
+	return b.String()
+}
+
+// acrossWindow places markup so that it straddles the end of the
+// scanner's first read window: the subtree opens, plain text fills the
+// window up to two bytes before its end, and markup follows.
+func acrossWindow(markup string) string {
+	const open = `<r><skip><x>`
+	return open + strings.Repeat("t", defaultBufSize-2-len(open)) + markup + `</skip><after/></r>`
+}
+
+// TestSkimHandoff pins SkimSubtree at every point where its window loop
+// hands a token to the per-token code: names it does not take, attributes,
+// text needing decoding, markup other than tags, tokens across the window
+// edge, limits and chunk pauses. Every reader must give the same calls,
+// the same error text and offset, and the same following event; the
+// wants are what a skim taking every token through the per-token code
+// reports.
+func TestSkimHandoff(t *testing.T) {
+	cases := []struct {
+		name string
+		doc  string
+		lim  SkimLimits
+		want string
+	}{
+		{"two colons", `<r><skip><x><a:b:c/></x></skip></r>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 18: expected element name after <" at 18`},
+		{"leading colon", `<r><skip><x><:a>t</:a></x></skip><after/></r>`, SkimLimits{},
+			`2/4/true then start "after"`},
+		{"trailing colon", `<r><skip><x><a:>t</a:></x></skip><after/></r>`, SkimLimits{},
+			`2/4/true then start "after"`},
+		{"prefixed", `<r><skip><p:a><p:b/>t</p:a></skip><after/></r>`, SkimLimits{},
+			`2/4/true then start "after"`},
+		{"non-ASCII name", "<r><skip><x><é>t</é></x></skip><after/></r>", SkimLimits{},
+			`2/4/true then start "after"`},
+		{"invalid UTF-8 name", "<r><skip><x><a\xff>t</a\xff></x></skip></r>", SkimLimits{},
+			`1/3/false error "XML syntax error at byte 15: invalid XML name: a\xff" at 15`},
+		{"digit name", `<r><skip><x><1a/></x></skip></r>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 15: invalid XML name: 1a" at 15`},
+		{"attributes", `<r><skip><x a="1"><y b='2'/></x></skip><after/></r>`, SkimLimits{},
+			`2/4/true then start "after"`},
+		{"unquoted attribute", `<r><skip><x a=1></x></skip></r>`, SkimLimits{},
+			`0/0/false error "XML syntax error at byte 15: unquoted or missing attribute value in element" at 15`},
+		{"space in start tag", `<r><skip><x >t</x><y /></skip><after/></r>`, SkimLimits{},
+			`2/3/true then start "after"`},
+		{"space in end tag", `<r><skip><x>t</x ></skip><after/></r>`, SkimLimits{},
+			`1/3/true then start "after"`},
+		{"mismatched end tag", `<r><skip><x>t</y></skip></r>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 17: element <x> closed by </y>" at 17`},
+		{"end tag prefix of name", `<r><skip><xy>t</x></skip></r>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 18: element <xy> closed by </x>" at 18`},
+		{"CRLF", "<r><skip><x>a\r\nb</x>\r\n</skip><after/></r>", SkimLimits{},
+			`1/3/true then start "after"`},
+		{"entity", `<r><skip><x>a&amp;b</x></skip><after/></r>`, SkimLimits{},
+			`1/3/true then start "after"`},
+		{"bad entity", `<r><skip><x>a&bogus;b</x></skip></r>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 20: invalid character entity" at 20`},
+		{"bracket", `<r><skip><x>a]b</x></skip><after/></r>`, SkimLimits{},
+			`1/3/true then start "after"`},
+		{"CDATA end in text", `<r><skip><x>a]]>b</x></skip></r>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 16: unescaped ]]> not in CDATA section" at 16`},
+		{"control character", "<r><skip><x>a\x01b</x></skip></r>", SkimLimits{},
+			`1/3/false error "XML syntax error at byte 15: illegal character code U+0001" at 15`},
+		{"markup", `<r><skip><x><![CDATA[<y>]]></x><!-- c --><?pi d?><z/></skip><after/></r>`, SkimLimits{},
+			`2/3/true then start "after"`},
+		{"EOF", `<r><skip><x>t</x>`, SkimLimits{},
+			`1/3/false error "XML syntax error at byte 17: unexpected EOF" at 17`},
+		{"start tag across window", acrossWindow(`<item>v</item></x>`), SkimLimits{},
+			`2/4/true then start "after"`},
+		{"end tag across window", acrossWindow(`</x>`), SkimLimits{},
+			`1/3/true then start "after"`},
+		{"self-closing across window", acrossWindow(`<i/></x>`), SkimLimits{},
+			`2/4/true then start "after"`},
+		{"text across window", acrossWindow(`tt</x>`), SkimLimits{},
+			`1/3/true then start "after"`},
+		{"MaxOpen", `<r><skip><a><b><c/></b></a></skip></r>`, SkimLimits{MaxOpen: 4},
+			`3/4/false error "xmlscan: skim depth limit exceeded" at 19`},
+		{"MaxTotalElements", `<r><skip>` + strings.Repeat(`<i/>`, 10) + `</skip></r>`,
+			SkimLimits{MaxTotalElements: 7, BaseElements: 2},
+			`6/3/false error "xmlscan: skim element limit exceeded" at 33`},
+		{"chunk pause", `<r><skip>` + strings.Repeat(`<i>v</i>`, 10) + `</skip><after/></r>`,
+			SkimLimits{ChunkElements: 3},
+			`3/3/false 3/3/false 3/3/false 1/3/true then start "after"`},
+		{"chunk pause self-closing", `<r><skip><a>` + strings.Repeat(`<i/>`, 7) + `</a></skip><after/></r>`,
+			SkimLimits{ChunkElements: 3},
+			`3/4/false 3/4/false 2/4/true then start "after"`},
+		{"self-closing root", `<r><skip/><after/></r>`, SkimLimits{},
+			`0/0/true then start "after"`},
+	}
+	for _, tc := range cases {
+		readers := map[string]func() io.Reader{
+			"whole":   func() io.Reader { return strings.NewReader(tc.doc) },
+			"onebyte": func() io.Reader { return iotest.OneByteReader(strings.NewReader(tc.doc)) },
+			"edge":    func() io.Reader { return &edgeReader{data: []byte(tc.doc)} },
+		}
+		for rname, r := range readers {
+			if got := skimOutcome(t, r(), tc.lim); got != tc.want {
+				t.Errorf("%s, %s reader:\n got %s\nwant %s", tc.name, rname, got, tc.want)
+			}
+		}
 	}
 }
