@@ -513,6 +513,44 @@ func runJSON(ps *wgen.PaperSchemas, path string) {
 		})
 	}
 
+	// The checking walk: Experiment 2 (maxExclusive 200→100) on the stream
+	// path. No item is skimmed and every quantity is re-checked, so this
+	// row, unlike the skim-dominated ones above, exposes the per-element
+	// dispatch and per-value cost — including any allocation on it, which
+	// benchdiff's exact allocs gate catches. The baseline is the same
+	// scanner doing full validation, so the ratio is the cast's alone.
+	{
+		data := wgen.POXMLBytes(wgen.PODocument(wgen.PODocOptions{Items: 500, IncludeBillTo: true, MaxQuantity: 99, Seed: 11}))
+		sc, err := stream.NewCaster(ps.Source2, ps.Target)
+		if err != nil {
+			fatal(err)
+		}
+		sf := stream.NewValidator(ps.Target)
+		castFn := func() {
+			if _, err := sc.Validate(bytes.NewReader(data)); err != nil {
+				fatal(err)
+			}
+		}
+		fullFn := func() {
+			if _, err := sf.Validate(bytes.NewReader(data)); err != nil {
+				fatal(err)
+			}
+		}
+		castTime := timeIt(castFn)
+		fullTime := timeIt(fullFn)
+		skip, scanned := streamRatios(sc, data)
+		out = append(out, benchScenario{
+			Name:                "stream-cast-check-500",
+			NsPerOp:             castTime.Nanoseconds(),
+			BaselineNsPerOp:     fullTime.Nanoseconds(),
+			Speedup:             float64(fullTime) / float64(castTime),
+			SkipRatio:           skip,
+			SymbolsScannedRatio: scanned,
+			AllocsPerOp:         allocsPerOp(castFn),
+			BaselineAllocsPerOp: allocsPerOp(fullFn),
+		})
+	}
+
 	// Runtime-collector overhead: the same streaming cast with the go_*
 	// health sampler ticking at a deliberately hostile cadence (10ms; the
 	// production default is 10s) versus no sampler at all. NsPerOp is the

@@ -2,10 +2,12 @@ package cast
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/baseline"
 	"repro/internal/fa"
+	"repro/internal/stream"
 	"repro/internal/update"
 	"repro/internal/wgen"
 	"repro/internal/xmltree"
@@ -37,6 +39,11 @@ func TestFuzzRandomSchemaPairs(t *testing.T) {
 			MustNew(src, dst, Options{DisableContentIDA: true}),
 		}
 		dtdOK := src.IsDTD() && dst.IsDTD()
+		streamCast, err := stream.NewCaster(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamFull := stream.NewValidator(dst)
 		for i := 0; i < 25; i++ {
 			doc, ok := gen.Document()
 			if !ok {
@@ -57,6 +64,25 @@ func TestFuzzRandomSchemaPairs(t *testing.T) {
 				if gotErr == nil && castStats.NodesVisited() > baseStats.NodesVisited() {
 					t.Fatalf("round %d engine %d: cast visited %d nodes, full %d",
 						round, ei, castStats.NodesVisited(), baseStats.NodesVisited())
+				}
+			}
+			// The scanner stream caster, on the serialized document: the
+			// same verdict class, and on accepted documents Prop. 4 — it
+			// visits no more elements than full validation does.
+			text := xmltree.XMLString(doc)
+			streamStats, streamErr := streamCast.Validate(strings.NewReader(text))
+			if (streamErr == nil) != (wantErr == nil) {
+				t.Fatalf("round %d: stream cast=%v full=%v\nsrc:\n%s\ndst:\n%s\ndoc: %s",
+					round, streamErr, wantErr, src, dst, text)
+			}
+			if streamErr == nil {
+				fullStats, err := streamFull.Validate(strings.NewReader(text))
+				if err != nil {
+					t.Fatalf("round %d: stream full validation rejects an accepted doc: %v\ndoc: %s", round, err, text)
+				}
+				if streamStats.ElementsVisited > fullStats.ElementsVisited {
+					t.Fatalf("round %d: stream cast visited %d elements, full %d\ndoc: %s",
+						round, streamStats.ElementsVisited, fullStats.ElementsVisited, text)
 				}
 			}
 			if dtdOK {

@@ -125,6 +125,18 @@ func (t *Table) Get(τ, τp schema.TypeID) *strcast.Caster {
 	}
 }
 
+// Lookup returns the caster for the pair when the table already holds one
+// (precomputed or published on demand), and nil otherwise. Unlike Get it
+// never builds or publishes, so it leaves the table — and every Snapshot
+// of it — exactly as it was.
+func (t *Table) Lookup(τ, τp schema.TypeID) *strcast.Caster {
+	p := Pair{τ, τp}
+	if c, ok := t.precomputed[p]; ok {
+		return c
+	}
+	return (*t.overflow.Load())[p]
+}
+
 // Len reports how many casters the table currently holds (precomputed plus
 // published on-demand pairs).
 func (t *Table) Len() int {

@@ -25,6 +25,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/regexpsym"
 	"repro/internal/schema"
+	"repro/internal/xmlspace"
 )
 
 // Options configure DTD loading.
@@ -341,7 +342,7 @@ func (p *parser) skipQuoted() error {
 
 func (p *parser) skipSpaceAndComments() {
 	for {
-		for !p.eof() && isSpace(p.peek()) {
+		for !p.eof() && xmlspace.Is(p.peek()) {
 			p.pos++
 		}
 		if strings.HasPrefix(p.src[p.pos:], "<!--") {
@@ -388,10 +389,6 @@ func (p *parser) peekSnippet() string {
 
 func (p *parser) errorf(format string, args ...any) error {
 	return fmt.Errorf("dtd: offset %d: %s", p.pos, fmt.Sprintf(format, args...))
-}
-
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
 }
 
 func isNameChar(c byte) bool {

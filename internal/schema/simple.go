@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/xmlspace"
 )
 
 // BaseKind is the primitive value space a simple type restricts. The paper
@@ -183,26 +185,42 @@ func (st *SimpleType) String() string {
 // AcceptsValue reports whether the text value conforms to the simple type.
 // A nil receiver (the unconstrained simple type) accepts everything.
 func (st *SimpleType) AcceptsValue(value string) bool {
+	return acceptsValue(st, value)
+}
+
+// AcceptsBytes is AcceptsValue on a byte slice, for callers that hold
+// the value in a reused buffer: the check neither retains nor copies it.
+func (st *SimpleType) AcceptsBytes(value []byte) bool {
+	return acceptsValue(st, value)
+}
+
+// acceptsValue is the one facet check behind AcceptsValue and
+// AcceptsBytes. It does not retain value, so neither entry point
+// allocates (short numerals are converted for strconv on the stack).
+// Whitespace means XML whitespace only (package xmlspace).
+func acceptsValue[T string | []byte](st *SimpleType, value T) bool {
 	if st == nil {
 		return true
 	}
 	if st.ListItem != nil {
-		items := strings.Fields(value)
-		if st.MinLength >= 0 && len(items) < st.MinLength {
-			return false
-		}
-		if st.MaxLength >= 0 && len(items) > st.MaxLength {
-			return false
-		}
-		for _, item := range items {
-			if !st.ListItem.AcceptsValue(item) {
+		items := 0
+		for item, rest := xmlspace.Field(value); len(item) > 0; item, rest = xmlspace.Field(rest) {
+			if !acceptsValue(st.ListItem, item) {
 				return false
 			}
+			items++
+		}
+		if st.MinLength >= 0 && items < st.MinLength {
+			return false
+		}
+		if st.MaxLength >= 0 && items > st.MaxLength {
+			return false
 		}
 		if len(st.Enumeration) > 0 {
+			v := xmlspace.Trim(value)
 			found := false
 			for _, e := range st.Enumeration {
-				if e == strings.TrimSpace(value) {
+				if e == string(v) {
 					found = true
 					break
 				}
@@ -213,23 +231,23 @@ func (st *SimpleType) AcceptsValue(value string) bool {
 		}
 		return true
 	}
-	v := strings.TrimSpace(value) // xsd whitespace collapse for non-string bases
+	v := xmlspace.Trim(value) // xsd whitespace collapse for non-string bases
 	var num float64
 	switch st.Base {
 	case AnySimple, StringKind:
 		// length facets apply to the raw value for string kinds
 	case BooleanKind:
-		if v != "true" && v != "false" && v != "1" && v != "0" {
+		if s := string(v); s != "true" && s != "false" && s != "1" && s != "0" {
 			return false
 		}
 	case DecimalKind:
-		f, err := strconv.ParseFloat(v, 64)
+		f, err := strconv.ParseFloat(string(v), 64)
 		if err != nil {
 			return false
 		}
 		num = f
 	case IntegerKind, PositiveIntegerKind:
-		i, err := strconv.ParseInt(v, 10, 64)
+		i, err := strconv.ParseInt(string(v), 10, 64)
 		if err != nil {
 			return false
 		}
@@ -238,7 +256,7 @@ func (st *SimpleType) AcceptsValue(value string) bool {
 		}
 		num = float64(i)
 	case DateKind:
-		if _, err := time.Parse("2006-01-02", v); err != nil {
+		if _, err := time.Parse("2006-01-02", string(v)); err != nil {
 			return false
 		}
 	}
@@ -265,7 +283,7 @@ func (st *SimpleType) AcceptsValue(value string) bool {
 	if len(st.Enumeration) > 0 {
 		found := false
 		for _, e := range st.Enumeration {
-			if e == v || e == value {
+			if e == string(v) || e == string(value) {
 				found = true
 				break
 			}

@@ -285,3 +285,64 @@ func TestSimpleTypeString(t *testing.T) {
 		t.Fatalf("nil String = %q", nilST.String())
 	}
 }
+
+// TestAcceptsValueXMLWhitespace pins the whitespace the facets collapse
+// and lists split on to XML's four bytes: a no-break space (U+00A0) or a
+// next-line (U+0085) is part of the value.
+func TestAcceptsValueXMLWhitespace(t *testing.T) {
+	qty := NewSimpleType(PositiveIntegerKind).WithMaxExclusive(100)
+	ints := NewListType(NewSimpleType(IntegerKind))
+	cases := []struct {
+		st    *SimpleType
+		value string
+		want  bool
+	}{
+		{qty, " \t5\r\n", true},
+		{qty, "\u00a05", false},
+		{qty, "5\u0085", false},
+		{NewSimpleType(BooleanKind), "\ntrue ", true},
+		{NewSimpleType(BooleanKind), "true\u00a0", false},
+		{NewSimpleType(DateKind), " 2004-03-14\n", true},
+		{NewSimpleType(DateKind), "\u00a02004-03-14", false},
+		{ints, " 1\t2\n3 ", true},
+		{ints, "1\u00a02", false},
+		{ints.WithLength(2, 2), "1 \r\n 2", true},
+		{ints.WithLength(3, -1), "1\u20282 3", false},
+		{NewListType(NewSimpleType(StringKind)).WithLength(2, 2), "a\u00a0b", false},
+		{NewSimpleType(StringKind).WithEnumeration("red"), " red\n", true},
+		{NewSimpleType(StringKind).WithEnumeration("red"), "\u00a0red", false},
+	}
+	for _, c := range cases {
+		if got := c.st.AcceptsValue(c.value); got != c.want {
+			t.Errorf("%v.AcceptsValue(%q) = %v, want %v", c.st, c.value, got, c.want)
+		}
+		if got := c.st.AcceptsBytes([]byte(c.value)); got != c.want {
+			t.Errorf("%v.AcceptsBytes(%q) = %v, want %v", c.st, c.value, got, c.want)
+		}
+	}
+}
+
+// TestAcceptsBytesNoAllocs holds the check of a conforming value to zero
+// allocations on every base, so the streaming walkers can check values in
+// their reused text buffers. (A malformed numeral or date still costs
+// strconv's or time's error value; such a value ends the validation.)
+func TestAcceptsBytesNoAllocs(t *testing.T) {
+	qty := NewSimpleType(PositiveIntegerKind).WithMaxExclusive(100)
+	cases := []struct {
+		st    *SimpleType
+		value string
+	}{
+		{qty, " 42 "},
+		{NewSimpleType(DecimalKind).WithMinInclusive(0), "148.95"},
+		{NewSimpleType(DateKind), "2004-03-14"},
+		{NewSimpleType(BooleanKind), "true"},
+		{NewSimpleType(StringKind).WithLength(1, 80).WithEnumeration("a", strings.Repeat("b", 60)), strings.Repeat("b", 60)},
+		{NewListType(qty).WithLength(1, 4), "1 2 3"},
+	}
+	for _, c := range cases {
+		b := []byte(c.value)
+		if allocs := testing.AllocsPerRun(50, func() { c.st.AcceptsBytes(b) }); allocs != 0 {
+			t.Errorf("%v.AcceptsBytes(%q): %v allocs, want 0", c.st, c.value, allocs)
+		}
+	}
+}

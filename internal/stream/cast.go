@@ -13,6 +13,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/subsume"
 	"repro/internal/telemetry"
+	"repro/internal/xmlspace"
 )
 
 // Caster performs streaming schema cast validation: the incoming document
@@ -24,12 +25,15 @@ import (
 // content-model IDAs for every type pair reachable from the shared roots
 // are precomputed eagerly (no first-document latency spike), and any
 // on-demand pair goes through the table's lock-free copy-on-write
-// overflow, so concurrent validations never contend on a mutex.
+// overflow, so concurrent validations never contend on a mutex. The
+// scanner-backed walk resolves elements through child dispatch tables
+// compiled from the same pairs (see childTable).
 type Caster struct {
 	Src, Dst *schema.Schema
 	Rel      *subsume.Relations
 
 	casters *castmap.Table
+	roots   *childTable
 	stdXML  bool
 }
 
@@ -42,8 +46,7 @@ func NewCaster(src, dst *schema.Schema, opts ...Option) (*Caster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Caster{Src: src, Dst: dst, Rel: rel,
-		casters: castmap.New(src, dst, rel, true), stdXML: buildOptions(opts).stdXML}, nil
+	return NewCasterFrom(src, dst, rel, castmap.New(src, dst, rel, true), opts...), nil
 }
 
 // NewCasterFrom builds a streaming caster from preprocessing another
@@ -52,7 +55,8 @@ func NewCaster(src, dst *schema.Schema, opts ...Option) (*Caster, error) {
 // hold one set of relations and IDAs per schema pair shared by the tree
 // and streaming validation modes.
 func NewCasterFrom(src, dst *schema.Schema, rel *subsume.Relations, table *castmap.Table, opts ...Option) *Caster {
-	return &Caster{Src: src, Dst: dst, Rel: rel, casters: table, stdXML: buildOptions(opts).stdXML}
+	return &Caster{Src: src, Dst: dst, Rel: rel, casters: table,
+		roots: buildDispatch(src, dst, rel, table), stdXML: buildOptions(opts).stdXML}
 }
 
 // CasterSizes reports the caster's content-model footprint: caster count
@@ -366,14 +370,14 @@ func (c *Caster) validateStd(ctx context.Context, r io.Reader, tr *telemetry.Tra
 				text = strings.TrimPrefix(text, "\uFEFF")
 			}
 			if len(stack) == 0 {
-				if strings.TrimSpace(text) == "" {
+				if xmlspace.Blank(text) {
 					continue // inter-element whitespace around the root
 				}
 				return st, fmt.Errorf("stream: text outside the root element")
 			}
 			f := stack[len(stack)-1]
 			if !f.tD.Simple {
-				if strings.TrimSpace(text) == "" {
+				if xmlspace.Blank(text) {
 					continue
 				}
 				return st, fmt.Errorf("stream: text content under element-only target type %q", f.tD.Name)

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -11,12 +10,17 @@ import (
 	"repro/internal/schema"
 	"repro/internal/telemetry"
 	"repro/internal/xmlscan"
+	"repro/internal/xmlspace"
 )
 
 // castScanFrame is the per-open-element state of the scanner-based
-// caster; the value-slot pooling story matches sframe.
+// caster; the value-slot pooling story matches sframe. children is the
+// frame's pair's dispatch table and last its position of the previous
+// match there.
 type castScanFrame struct {
 	tS, tD      *schema.Type
+	children    *childTable
+	last        int
 	ida         *fa.IDA
 	idaState    int
 	contentDone bool
@@ -87,66 +91,25 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				childIdx = tc.childN[len(tc.childN)-1]
 				tc.childN[len(tc.childN)-1]++
 			}
-			var τ, τp schema.TypeID
+			// Resolve the element through the parent pair's dispatch table.
+			// A miss is always an error; the map-based code words it.
+			var e *childEntry
 			if len(stack) == 0 {
 				if rootSeen {
 					return st, fmt.Errorf("stream: multiple root elements")
 				}
 				rootSeen = true
-				sym := c.Src.Alpha.LookupBytes(label)
-				τ = c.Src.RootTypeSym(sym)
-				τp = c.Dst.RootTypeSym(sym)
-				if τ == schema.NoType {
-					return st, fmt.Errorf("stream: cast contract violated: %q is not a source root", label)
-				}
-				if τp == schema.NoType {
-					return st, fmt.Errorf("stream: label %q is not a permitted root of the target schema", label)
+				rootLast := 0
+				if e = c.roots.find(label, &rootLast); e == nil {
+					return st, c.rootMiss(label)
 				}
 			} else {
 				parent := &stack[len(stack)-1]
-				if parent.tD.Simple {
-					return st, fmt.Errorf("stream: element %q under simple target type %q", label, parent.tD.Name)
+				if e = parent.children.find(label, &parent.last); e == nil {
+					return st, c.childMiss(parent, label, &st)
 				}
-				sym := c.Src.Alpha.LookupBytes(label)
-				if sym == fa.NoSymbol {
-					return st, fmt.Errorf("stream: label %q unknown to the schemas", label)
-				}
-				if parent.contentDone {
-					st.SymbolsSkipped++ // model verdict settled; symbol arrives unscanned
-				} else {
-					st.AutomatonSteps++
-					if parent.ida != nil {
-						parent.idaState = parent.ida.D.Step(parent.idaState, sym)
-						switch parent.ida.Classify(parent.idaState) {
-						case fa.ImmediateAccept:
-							parent.contentDone = true
-						case fa.ImmediateReject:
-							return st, fmt.Errorf("stream: child %q not allowed by target content model of %q",
-								label, parent.tD.Name)
-						}
-					} else {
-						parent.idaState = parent.tD.DFA.Step(parent.idaState, sym)
-						if parent.idaState == fa.Dead {
-							return st, fmt.Errorf("stream: child %q not allowed by target content model of %q",
-								label, parent.tD.Name)
-						}
-					}
-				}
-				τp = schema.NoType
-				if t, ok := parent.tD.Child[sym]; ok {
-					τp = t
-				}
-				if τp == schema.NoType {
-					return st, fmt.Errorf("stream: label %q has no child type under target %q", label, parent.tD.Name)
-				}
-				τ = schema.NoType
-				if !parent.tS.Simple {
-					if t, ok := parent.tS.Child[sym]; ok {
-						τ = t
-					}
-				}
-				if τ == schema.NoType {
-					return st, fmt.Errorf("stream: cast contract violated: no source child type for %q", label)
+				if err := parent.step(e.sym, label, &st); err != nil {
+					return st, err
 				}
 			}
 			st.ElementsVisited++
@@ -157,10 +120,10 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				return st, err
 			}
 			st.NoteDepth(len(stack))
-			if c.Rel.Subsumed(τ, τp) {
+			if e.verdict == skimChild {
 				st.SubsumedSkips++
 				if tr != nil {
-					tr.Record(c.traceEvent(telemetry.ActionSkip, tc, string(label), childIdx, len(stack), τ, τp,
+					tr.Record(c.traceEvent(telemetry.ActionSkip, tc, string(label), childIdx, len(stack), e.src, e.dst,
 						"subsumed: subtree target-valid, skimming"))
 				}
 				// Everything below is target-valid: let the scanner skim
@@ -213,23 +176,23 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 				}
 				continue
 			}
-			if c.Rel.Disjoint(τ, τp) {
+			if e.verdict == rejectChild {
 				st.DisjointRejects++
 				if tr != nil {
-					tr.Record(c.traceEvent(telemetry.ActionReject, tc, string(label), childIdx, len(stack), τ, τp,
+					tr.Record(c.traceEvent(telemetry.ActionReject, tc, string(label), childIdx, len(stack), e.src, e.dst,
 						"disjoint: no source-valid subtree satisfies the target type"))
 				}
 				return st, fmt.Errorf("stream: source type %q is disjoint from target type %q",
-					c.Src.TypeOf(τ).Name, c.Dst.TypeOf(τp).Name)
+					e.tS.Name, e.tD.Name)
 			}
-			stack = pushCastFrame(stack, c, τ, τp)
+			stack = pushCastFrame(stack, c, e)
 			f := &stack[len(stack)-1]
 			if tr != nil {
 				action, detail := telemetry.ActionDescend, "neither subsumed nor disjoint: validating content"
 				if f.tD.Simple {
 					action, detail = telemetry.ActionSimple, "simple target type: value checked at close"
 				}
-				tr.Record(c.traceEvent(action, tc, string(label), childIdx, len(stack)-1, τ, τp, detail))
+				tr.Record(c.traceEvent(action, tc, string(label), childIdx, len(stack)-1, e.src, e.dst, detail))
 			}
 			if tc != nil {
 				if len(tc.labels) > 0 {
@@ -260,14 +223,14 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 		case xmlscan.EventText:
 			text := sc.Text()
 			if len(stack) == 0 {
-				if len(bytes.TrimSpace(text)) == 0 {
+				if xmlspace.Blank(text) {
 					continue // inter-element whitespace around the root
 				}
 				return st, fmt.Errorf("stream: text outside the root element")
 			}
 			f := &stack[len(stack)-1]
 			if !f.tD.Simple {
-				if len(bytes.TrimSpace(text)) == 0 {
+				if xmlspace.Blank(text) {
 					continue
 				}
 				return st, fmt.Errorf("stream: text content under element-only target type %q", f.tD.Name)
@@ -277,16 +240,17 @@ func (c *Caster) validateScan(ctx context.Context, r io.Reader, tr *telemetry.Tr
 	}
 }
 
-// pushCastFrame appends a frame for the (τ, τp) pair, reusing slot
+// pushCastFrame appends a frame for the pair e names, reusing slot
 // capacity (including the slot's text buffer) when available.
-func pushCastFrame(stack []castScanFrame, c *Caster, τ, τp schema.TypeID) []castScanFrame {
+func pushCastFrame(stack []castScanFrame, c *Caster, e *childEntry) []castScanFrame {
 	if len(stack) < cap(stack) {
 		stack = stack[:len(stack)+1]
 	} else {
 		stack = append(stack, castScanFrame{})
 	}
 	f := &stack[len(stack)-1]
-	f.tS, f.tD = c.Src.TypeOf(τ), c.Dst.TypeOf(τp)
+	f.tS, f.tD = e.tS, e.tD
+	f.children, f.last = e.children, 0
 	f.ida = nil
 	f.idaState = 0
 	f.contentDone = false
@@ -297,7 +261,10 @@ func pushCastFrame(stack []castScanFrame, c *Caster, τ, τp schema.TypeID) []ca
 			// target DFA.
 			f.idaState = f.tD.DFA.Start()
 		} else {
-			f.ida = c.contentIDA(τ, τp)
+			f.ida = e.ida
+			if f.ida == nil {
+				f.ida = c.contentIDA(e.src, e.dst)
+			}
 			f.idaState = f.ida.D.Start()
 			if f.ida.Classify(f.idaState) == fa.ImmediateAccept {
 				f.contentDone = true
@@ -307,10 +274,73 @@ func pushCastFrame(stack []castScanFrame, c *Caster, τ, τp schema.TypeID) []ca
 	return stack
 }
 
+// step feeds the child symbol sym to the frame's content-model automaton,
+// counting the step (or the skipped symbol once the model is settled).
+func (f *castScanFrame) step(sym fa.Symbol, label []byte, st *Stats) error {
+	if f.contentDone {
+		st.SymbolsSkipped++ // model verdict settled; symbol arrives unscanned
+		return nil
+	}
+	st.AutomatonSteps++
+	if f.ida != nil {
+		f.idaState = f.ida.D.Step(f.idaState, sym)
+		switch f.ida.Classify(f.idaState) {
+		case fa.ImmediateAccept:
+			f.contentDone = true
+		case fa.ImmediateReject:
+			return fmt.Errorf("stream: child %q not allowed by target content model of %q", label, f.tD.Name)
+		}
+		return nil
+	}
+	f.idaState = f.tD.DFA.Step(f.idaState, sym)
+	if f.idaState == fa.Dead {
+		return fmt.Errorf("stream: child %q not allowed by target content model of %q", label, f.tD.Name)
+	}
+	return nil
+}
+
+// rootMiss words the error for a root element the root table lacks: its
+// label is not a root of the source schema, or not one of the target.
+func (c *Caster) rootMiss(label []byte) error {
+	sym := c.Src.Alpha.LookupBytes(label)
+	if c.Src.RootTypeSym(sym) == schema.NoType {
+		return fmt.Errorf("stream: cast contract violated: %q is not a source root", label)
+	}
+	if c.Dst.RootTypeSym(sym) == schema.NoType {
+		return fmt.Errorf("stream: label %q is not a permitted root of the target schema", label)
+	}
+	return fmt.Errorf("stream: root %q missing from the dispatch table", label)
+}
+
+// childMiss words the error for a child element its parent's dispatch
+// table lacks, through the alphabet and the types_τ maps: the same checks,
+// in the same order and with the same counters, that resolved every child
+// before the tables existed. Some check always fails for a label the
+// table lacks, since the tables hold exactly the labels both types permit.
+func (c *Caster) childMiss(parent *castScanFrame, label []byte, st *Stats) error {
+	if parent.tD.Simple {
+		return fmt.Errorf("stream: element %q under simple target type %q", label, parent.tD.Name)
+	}
+	sym := c.Src.Alpha.LookupBytes(label)
+	if sym == fa.NoSymbol {
+		return fmt.Errorf("stream: label %q unknown to the schemas", label)
+	}
+	if err := parent.step(sym, label, st); err != nil {
+		return err
+	}
+	if τp, ok := parent.tD.Child[sym]; !ok || τp == schema.NoType {
+		return fmt.Errorf("stream: label %q has no child type under target %q", label, parent.tD.Name)
+	}
+	if τ, ok := parent.tS.Child[sym]; parent.tS.Simple || !ok || τ == schema.NoType {
+		return fmt.Errorf("stream: cast contract violated: no source child type for %q", label)
+	}
+	return fmt.Errorf("stream: child %q of %q missing from the dispatch table", label, parent.tD.Name)
+}
+
 func (c *Caster) closeScanFrame(f *castScanFrame, st *Stats) error {
 	if f.tD.Simple {
 		st.ValuesChecked++
-		if !f.tD.Value.AcceptsValue(string(f.text)) {
+		if !f.tD.Value.AcceptsBytes(f.text) {
 			return fmt.Errorf("stream: value %q does not satisfy simple target type %q (%s)",
 				f.text, f.tD.Name, f.tD.Value)
 		}

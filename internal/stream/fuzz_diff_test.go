@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/schema"
 	"repro/internal/wgen"
 )
 
@@ -32,33 +33,75 @@ func errClass(err error) string {
 	return "reject"
 }
 
+// exp2Prolog and exp2Epilog frame an Experiment 2 document (Source2 →
+// Target, quantity maxExclusive 200 → 100) around its items, so a seed
+// names only the items it varies.
+const (
+	exp2Prolog = `<purchaseOrder><shipTo><name>a</name><street>b</street><city>c</city>` +
+		`<state>d</state><zip>1</zip><country>US</country></shipTo><billTo><name>a</name>` +
+		`<street>b</street><city>c</city><state>d</state><zip>1</zip><country>US</country>` +
+		`</billTo><items>`
+	exp2Epilog = `</items></purchaseOrder>`
+	exp2Item   = `<item><productName>x</productName><quantity>5</quantity><USPrice>1.5</USPrice></item>`
+)
+
+// exp2Seeds are Experiment 2 documents that drive the checking walk into
+// each of its outcomes: accepted, a value the target's facet rejects, and
+// every kind of label the child dispatch tables lack.
+var exp2Seeds = map[string]string{
+	"valid": exp2Prolog + exp2Item + exp2Item + exp2Epilog,
+	"quantity-out-of-range": exp2Prolog + exp2Item +
+		`<item><productName>x</productName><quantity>150</quantity><USPrice>1.5</USPrice></item>` + exp2Epilog,
+	"unknown-label": exp2Prolog +
+		`<item><productName>x</productName><bogus/><quantity>5</quantity><USPrice>1.5</USPrice></item>` + exp2Epilog,
+	"label-forbidden-by-parent": exp2Prolog +
+		`<item><productName>x</productName><zip>1</zip><quantity>5</quantity><USPrice>1.5</USPrice></item>` + exp2Epilog,
+	"misordered-child": exp2Prolog +
+		`<item><quantity>5</quantity><productName>x</productName><USPrice>1.5</USPrice></item>` + exp2Epilog,
+	"text-under-element-only": exp2Prolog + exp2Item + `stray` + exp2Item + exp2Epilog,
+}
+
 // FuzzStreamCastDifferential runs every input through the streaming
 // caster twice — once on the byte-level scanner, once on the retained
 // encoding/xml path — and requires the same verdict, the same limit
 // classification on rejects, and identical statistics on accepts. This is
-// the executable form of the scanner's compatibility contract.
+// the executable form of the scanner's compatibility contract. Each input
+// is cast under two pairs: Experiment 1 (Source1 → Target), where the
+// cast skims almost everything, and Experiment 2 (Source2 → Target),
+// where it walks every item through the child dispatch tables, which the
+// encoding/xml path does not use.
 func FuzzStreamCastDifferential(f *testing.F) {
 	ps := wgen.NewPaperSchemas()
-	cScan, err := NewCaster(ps.Source1, ps.Target)
-	if err != nil {
-		f.Fatal(err)
-	}
-	cStd, err := NewCaster(ps.Source1, ps.Target, WithEncodingXML())
-	if err != nil {
-		f.Fatal(err)
+	type pair struct{ scan, std *Caster }
+	var pairs []pair
+	for _, src := range []*schema.Schema{ps.Source1, ps.Source2} {
+		cScan, err := NewCaster(src, ps.Target)
+		if err != nil {
+			f.Fatal(err)
+		}
+		cStd, err := NewCaster(src, ps.Target, WithEncodingXML())
+		if err != nil {
+			f.Fatal(err)
+		}
+		pairs = append(pairs, pair{cScan, cStd})
 	}
 	diffSeeds(f)
+	for _, doc := range exp2Seeds {
+		f.Add([]byte(doc))
+	}
 	lim := Limits{MaxDepth: 64, MaxElements: 10_000}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stScan, errScan := cScan.ValidateContext(context.Background(), bytes.NewReader(data), lim)
-		stStd, errStd := cStd.ValidateContext(context.Background(), bytes.NewReader(data), lim)
-		if cs, cd := errClass(errScan), errClass(errStd); cs != cd {
-			t.Fatalf("verdict divergence: scanner=%q (%v) encoding/xml=%q (%v) on %q",
-				cs, errScan, cd, errStd, data)
-		}
-		if errScan == nil && stScan != stStd {
-			t.Fatalf("stats divergence on accepted input:\nscanner:      %+v\nencoding/xml: %+v\non %q",
-				stScan, stStd, data)
+		for i, p := range pairs {
+			stScan, errScan := p.scan.ValidateContext(context.Background(), bytes.NewReader(data), lim)
+			stStd, errStd := p.std.ValidateContext(context.Background(), bytes.NewReader(data), lim)
+			if cs, cd := errClass(errScan), errClass(errStd); cs != cd {
+				t.Fatalf("exp%d: verdict divergence: scanner=%q (%v) encoding/xml=%q (%v) on %q",
+					i+1, cs, errScan, cd, errStd, data)
+			}
+			if errScan == nil && stScan != stStd {
+				t.Fatalf("exp%d: stats divergence on accepted input:\nscanner:      %+v\nencoding/xml: %+v\non %q",
+					i+1, stScan, stStd, data)
+			}
 		}
 	})
 }

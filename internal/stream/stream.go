@@ -30,6 +30,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/schema"
 	"repro/internal/work"
+	"repro/internal/xmlspace"
 )
 
 // Stats counts streaming validation work. It is the work counter every
@@ -178,13 +179,13 @@ func (v *Validator) validateStd(ctx context.Context, r io.Reader, lim Limits) (S
 				text = strings.TrimPrefix(text, "\uFEFF")
 			}
 			if len(stack) == 0 {
-				if strings.TrimSpace(text) == "" {
+				if xmlspace.Blank(text) {
 					continue // inter-element whitespace around the root
 				}
 				return st, fmt.Errorf("stream: text outside the root element")
 			}
 			f := stack[len(stack)-1]
-			if strings.TrimSpace(text) == "" && !f.t.Simple {
+			if xmlspace.Blank(text) && !f.t.Simple {
 				continue // inter-element whitespace
 			}
 			if !f.t.Simple {

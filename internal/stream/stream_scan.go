@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -10,6 +9,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/schema"
 	"repro/internal/xmlscan"
+	"repro/internal/xmlspace"
 )
 
 // sframe is the per-open-element state of the scanner-based full
@@ -143,14 +143,14 @@ func (v *Validator) validateScan(ctx context.Context, r io.Reader, lim Limits) (
 		case xmlscan.EventText:
 			text := sc.Text()
 			if len(stack) == 0 {
-				if len(bytes.TrimSpace(text)) == 0 {
+				if xmlspace.Blank(text) {
 					continue // inter-element whitespace around the root
 				}
 				return st, fmt.Errorf("stream: text outside the root element")
 			}
 			f := &stack[len(stack)-1]
 			if !f.t.Simple {
-				if len(bytes.TrimSpace(text)) == 0 {
+				if xmlspace.Blank(text) {
 					continue // inter-element whitespace
 				}
 				return st, fmt.Errorf("stream: text content under element-only type %q", f.t.Name)
@@ -163,7 +163,7 @@ func (v *Validator) validateScan(ctx context.Context, r io.Reader, lim Limits) (
 func (v *Validator) closeScanFrame(f *sframe, st *Stats) error {
 	if f.t.Simple {
 		st.ValuesChecked++
-		if !f.t.Value.AcceptsValue(string(f.text)) {
+		if !f.t.Value.AcceptsBytes(f.text) {
 			return fmt.Errorf("stream: value %q does not satisfy simple type %q (%s)",
 				f.text, f.t.Name, f.t.Value)
 		}

@@ -27,6 +27,8 @@ import (
 	"io"
 	"unicode"
 	"unicode/utf8"
+
+	"repro/internal/xmlspace"
 )
 
 // Event is the kind of item Next produced.
@@ -204,12 +206,10 @@ func (s *Scanner) space() {
 		if s.pos >= s.end && !s.fill() {
 			return
 		}
-		switch s.buf[s.pos] {
-		case ' ', '\r', '\n', '\t':
-			s.pos++
-		default:
+		if !xmlspace.Is(s.buf[s.pos]) {
 			return
 		}
+		s.pos++
 	}
 }
 
@@ -662,7 +662,7 @@ func (s *Scanner) parseNSName(dst []byte) ([]byte, int, error) {
 	// general path for the exact shared error behavior.
 	if s.pos < s.end {
 		win := s.buf[s.pos:s.end]
-		if c := win[0]; 'A' <= c && c <= 'Z' || 'a' <= c && c <= 'z' || c == '_' || c == ':' {
+		if c := win[0]; asciiNameStart[c] {
 			colon := -1
 			if c == ':' {
 				colon = 0
@@ -670,10 +670,10 @@ func (s *Scanner) parseNSName(dst []byte) ([]byte, int, error) {
 			i := 1
 			for i < len(win) {
 				c := win[i]
-				if c >= utf8.RuneSelf || !isNameByte(c) {
-					break
-				}
-				if c == ':' {
+				if !asciiNameRest[c] {
+					if c != ':' {
+						break
+					}
 					if colon >= 0 {
 						colon = -2 // second colon: malformed shape
 						break
@@ -896,11 +896,11 @@ func (s *Scanner) procInst() error {
 	}
 	if isXML {
 		s.textBuf = body
-		content := string(body[:len(body)-2])
-		if ver := procInstParam("version", content); ver != "" && ver != "1.0" {
+		content := body[:len(body)-2]
+		if ver := procInstParam("version=", content); len(ver) > 0 && string(ver) != "1.0" {
 			return s.syntaxf("unsupported version %q; only version 1.0 is supported", ver)
 		}
-		if enc := procInstParam("encoding", content); enc != "" && !equalFoldASCII(enc, "utf-8") {
+		if enc := procInstParam("encoding=", content); len(enc) > 0 && !equalFoldASCII(enc, "utf-8") {
 			return s.syntaxf("encoding %q declared but only UTF-8 is supported", enc)
 		}
 	}
@@ -909,16 +909,17 @@ func (s *Scanner) procInst() error {
 
 // procInstParam extracts a pseudo-attribute from an xml declaration body,
 // ported from encoding/xml's procInst so quirky inputs parse identically.
-func procInstParam(param, s string) string {
-	param = param + "="
+// param names the attribute including its '=' ("version="). It works on
+// the scanner's buffer in place, so the declaration costs no allocation.
+func procInstParam(param string, s []byte) []byte {
 	lenp := len(param)
 	i := 0
 	var sep byte
 	for i < len(s) {
 		sub := s[i:]
-		k := indexString(sub, param)
+		k := bytes.Index(sub, []byte(param))
 		if k < 0 || lenp+k >= len(sub) {
-			return ""
+			return nil
 		}
 		i += lenp + k + 1
 		if c := sub[lenp+k]; c == '\'' || c == '"' {
@@ -927,24 +928,16 @@ func procInstParam(param, s string) string {
 		}
 	}
 	if sep == 0 {
-		return ""
+		return nil
 	}
-	j := indexByteString(s[i:], sep)
+	j := bytes.IndexByte(s[i:], sep)
 	if j < 0 {
-		return ""
+		return nil
 	}
 	return s[i : i+j]
 }
 
-func indexString(s, sub string) int {
-	return bytes.Index([]byte(s), []byte(sub))
-}
-
-func indexByteString(s string, b byte) int {
-	return bytes.IndexByte([]byte(s), b)
-}
-
-func equalFoldASCII(a, b string) bool {
+func equalFoldASCII(a []byte, b string) bool {
 	if len(a) != len(b) {
 		return false
 	}

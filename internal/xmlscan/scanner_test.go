@@ -490,3 +490,22 @@ func TestSkimHandoff(t *testing.T) {
 		}
 	}
 }
+
+// TestXMLDeclaration pins the declaration checks' verdicts and error
+// text. The checks read the pseudo-attributes in place; the stream
+// package's TestCastCheckAllocs holds a declared document to zero
+// allocations.
+func TestXMLDeclaration(t *testing.T) {
+	for doc, want := range map[string]string{
+		`<?xml version="1.0" encoding="UTF-8"?><a/>`:  "",
+		`<?xml version='1.0' encoding='utf-8' ?><a/>`: "",
+		`<?xml version="" encoding=""?><a/>`:          "",
+		`<?xml version="2.0"?><a/>`:                   `unsupported version "2.0"; only version 1.0 is supported`,
+		`<?xml version="1.0" encoding="latin1"?><a/>`: `encoding "latin1" declared but only UTF-8 is supported`,
+	} {
+		_, _, err := tokenize(doc)
+		if got := fmt.Sprint(err); want == "" && err != nil || want != "" && !strings.Contains(got, want) {
+			t.Errorf("%s: error %v, want %q", doc, err, want)
+		}
+	}
+}

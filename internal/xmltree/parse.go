@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"repro/internal/xmlspace"
 )
 
 // ParseOptions controls XML parsing.
@@ -66,7 +68,7 @@ func ParseWith(r io.Reader, opts ParseOptions) (*Node, error) {
 				continue // whitespace or stray text outside the root
 			}
 			text := string(t)
-			if !opts.KeepWhitespaceText && strings.TrimSpace(text) == "" {
+			if !opts.KeepWhitespaceText && xmlspace.Blank(text) {
 				continue
 			}
 			parent := stack[len(stack)-1]
