@@ -340,6 +340,18 @@ func BenchmarkParseDocument(b *testing.B) {
 	}
 }
 
+// BenchmarkLoadXSD measures loading the Figure 2 schema from XSD text:
+// the tree parse plus the schema build and compile behind PUT /schemas.
+func BenchmarkLoadXSD(b *testing.B) {
+	text := wgen.Figure2XSD(false, 100)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := revalidate.NewUniverse().LoadXSDString(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGenerator measures random valid-document generation (the
 // workload generator itself).
 func BenchmarkGenerator(b *testing.B) {

@@ -16,7 +16,8 @@ type Document struct {
 
 // ParseDocument parses an XML document. Comments and processing
 // instructions are discarded; namespaces are flattened to local names;
-// whitespace-only text is dropped (insignificant in element content).
+// whitespace-only text is dropped (insignificant in element content);
+// other text outside the root element makes the document malformed.
 func ParseDocument(r io.Reader) (*Document, error) {
 	root, err := xmltree.Parse(r)
 	if err != nil {

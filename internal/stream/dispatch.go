@@ -9,7 +9,7 @@ import (
 	"repro/internal/subsume"
 )
 
-// childVerdict is what the scanner-backed cast does with a child element
+// childVerdict is what the streaming cast does with a child element
 // whose (source, target) type pair a dispatch entry names. It is a pure
 // function of the pair and the relations, so it is decided once, when the
 // caster is built.

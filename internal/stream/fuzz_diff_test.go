@@ -6,8 +6,10 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/baseline"
 	"repro/internal/schema"
 	"repro/internal/wgen"
+	"repro/internal/xmltree"
 )
 
 // diffSeeds seeds a differential fuzz target with the shared grammar-corner
@@ -18,19 +20,11 @@ func diffSeeds(f *testing.F) {
 	}
 }
 
-// errClass buckets a walker error for differential comparison: the two
-// tokenizer paths promise identical verdicts and identical *limit*
-// classification, but not identical message text (the scanner words its
-// syntax errors differently than encoding/xml).
-func errClass(err error) string {
-	if err == nil {
-		return "accept"
-	}
+// isLimit reports whether err is a resource-limit rejection, a verdict
+// the unlimited tree oracle has no counterpart for.
+func isLimit(err error) bool {
 	var le *LimitError
-	if errors.As(err, &le) {
-		return "limit:" + le.Kind
-	}
-	return "reject"
+	return errors.As(err, &le)
 }
 
 // exp2Prolog and exp2Epilog frame an Experiment 2 document (Source2 →
@@ -61,70 +55,88 @@ var exp2Seeds = map[string]string{
 	"text-under-element-only": exp2Prolog + exp2Item + `stray` + exp2Item + exp2Epilog,
 }
 
-// FuzzStreamCastDifferential runs every input through the streaming
-// caster twice — once on the byte-level scanner, once on the retained
-// encoding/xml path — and requires the same verdict, the same limit
-// classification on rejects, and identical statistics on accepts. This is
-// the executable form of the scanner's compatibility contract. Each input
-// is cast under two pairs: Experiment 1 (Source1 → Target), where the
-// cast skims almost everything, and Experiment 2 (Source2 → Target),
-// where it walks every item through the child dispatch tables, which the
-// encoding/xml path does not use.
+// FuzzStreamCastDifferential holds the streaming caster to the tree
+// oracle: the input parsed into a tree and fully validated by package
+// baseline, an engine that shares no walking code with the walkers.
+// Malformed input (the tree parse fails) must be rejected. On
+// input valid under the source schema — the cast's contract — the cast's
+// verdict must be full validation's against the target, and by
+// Proposition 4 the cast may visit no more elements than stream full
+// validation of the same bytes. Each input is cast under two pairs:
+// Experiment 1 (Source1 → Target), where the cast skims almost
+// everything, and Experiment 2 (Source2 → Target), where it walks every
+// item through the child dispatch tables. Limit rejections have no tree
+// counterpart and are skipped.
 func FuzzStreamCastDifferential(f *testing.F) {
 	ps := wgen.NewPaperSchemas()
-	type pair struct{ scan, std *Caster }
-	var pairs []pair
+	var sources []*schema.Schema
+	var casters []*Caster
 	for _, src := range []*schema.Schema{ps.Source1, ps.Source2} {
-		cScan, err := NewCaster(src, ps.Target)
+		c, err := NewCaster(src, ps.Target)
 		if err != nil {
 			f.Fatal(err)
 		}
-		cStd, err := NewCaster(src, ps.Target, WithEncodingXML())
-		if err != nil {
-			f.Fatal(err)
-		}
-		pairs = append(pairs, pair{cScan, cStd})
+		sources = append(sources, src)
+		casters = append(casters, c)
 	}
+	full := NewValidator(ps.Target)
 	diffSeeds(f)
 	for _, doc := range exp2Seeds {
 		f.Add([]byte(doc))
 	}
 	lim := Limits{MaxDepth: 64, MaxElements: 10_000}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for i, p := range pairs {
-			stScan, errScan := p.scan.ValidateContext(context.Background(), bytes.NewReader(data), lim)
-			stStd, errStd := p.std.ValidateContext(context.Background(), bytes.NewReader(data), lim)
-			if cs, cd := errClass(errScan), errClass(errStd); cs != cd {
-				t.Fatalf("exp%d: verdict divergence: scanner=%q (%v) encoding/xml=%q (%v) on %q",
-					i+1, cs, errScan, cd, errStd, data)
+		tree, parseErr := xmltree.Parse(bytes.NewReader(data))
+		for i, c := range casters {
+			st, err := c.ValidateContext(context.Background(), bytes.NewReader(data), lim)
+			if isLimit(err) {
+				continue
 			}
-			if errScan == nil && stScan != stStd {
-				t.Fatalf("exp%d: stats divergence on accepted input:\nscanner:      %+v\nencoding/xml: %+v\non %q",
-					i+1, stScan, stStd, data)
+			if parseErr != nil {
+				if err == nil {
+					t.Fatalf("exp%d: cast accepted malformed input (%v) %q", i+1, parseErr, data)
+				}
+				continue
+			}
+			if _, errSrc := baseline.New(sources[i]).Validate(tree); errSrc != nil {
+				continue // source-invalid: outside the cast's contract
+			}
+			if _, errDst := baseline.New(ps.Target).Validate(tree); (err == nil) != (errDst == nil) {
+				t.Fatalf("exp%d: verdict divergence: cast %v, tree oracle %v on %q", i+1, err, errDst, data)
+			}
+			stFull, errFull := full.ValidateContext(context.Background(), bytes.NewReader(data), lim)
+			if !isLimit(errFull) && st.ElementsVisited > stFull.ElementsVisited {
+				t.Fatalf("exp%d: cast visited %d elements, full validation %d (Prop. 4) on %q",
+					i+1, st.ElementsVisited, stFull.ElementsVisited, data)
 			}
 		}
 	})
 }
 
-// FuzzStreamFullDifferential is FuzzStreamCastDifferential for the full
-// streaming validator: both tokenizer paths must agree on verdict, limit
-// class and accepted-document statistics, with no skimming involved.
+// FuzzStreamFullDifferential holds the full streaming validator to the
+// tree oracle (a parse error is a reject): the same verdict, and on accepts the same element count and
+// maximum depth. Limit rejections have no tree counterpart and are
+// skipped.
 func FuzzStreamFullDifferential(f *testing.F) {
 	ps := wgen.NewPaperSchemas()
-	vScan := NewValidator(ps.Target)
-	vStd := NewValidator(ps.Target, WithEncodingXML())
+	v := NewValidator(ps.Target)
 	diffSeeds(f)
 	lim := Limits{MaxDepth: 64, MaxElements: 10_000}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		stScan, errScan := vScan.ValidateContext(context.Background(), bytes.NewReader(data), lim)
-		stStd, errStd := vStd.ValidateContext(context.Background(), bytes.NewReader(data), lim)
-		if cs, cd := errClass(errScan), errClass(errStd); cs != cd {
-			t.Fatalf("verdict divergence: scanner=%q (%v) encoding/xml=%q (%v) on %q",
-				cs, errScan, cd, errStd, data)
+		st, err := v.ValidateContext(context.Background(), bytes.NewReader(data), lim)
+		if isLimit(err) {
+			return
 		}
-		if errScan == nil && stScan != stStd {
-			t.Fatalf("stats divergence on accepted input:\nscanner:      %+v\nencoding/xml: %+v\non %q",
-				stScan, stStd, data)
+		tree, wantErr := xmltree.Parse(bytes.NewReader(data))
+		var want Stats
+		if wantErr == nil {
+			want, wantErr = baseline.New(ps.Target).Validate(tree)
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("verdict divergence: stream %v, tree oracle %v on %q", err, wantErr, data)
+		}
+		if err == nil && (st.ElementsVisited != want.ElementsVisited || st.MaxDepth != want.MaxDepth) {
+			t.Fatalf("stats divergence on accepted input:\nstream: %+v\ntree:   %+v\non %q", st, want, data)
 		}
 	})
 }

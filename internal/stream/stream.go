@@ -22,14 +22,14 @@ package stream
 
 import (
 	"context"
-	"encoding/xml"
 	"fmt"
 	"io"
-	"strings"
+	"sync"
 
 	"repro/internal/fa"
 	"repro/internal/schema"
 	"repro/internal/work"
+	"repro/internal/xmlscan"
 	"repro/internal/xmlspace"
 )
 
@@ -41,30 +41,54 @@ type Stats = work.Stats
 // Validator performs full streaming validation against one schema.
 type Validator struct {
 	S *schema.Schema
-
-	stdXML bool
 }
 
-// NewValidator returns a streaming validator for a compiled schema. By
-// default it tokenizes with the byte-level scanner (package xmlscan);
-// WithEncodingXML selects the retained encoding/xml path instead.
-func NewValidator(s *schema.Schema, opts ...Option) *Validator {
+// NewValidator returns a streaming validator for a compiled schema.
+func NewValidator(s *schema.Schema) *Validator {
 	if !s.Compiled() {
 		panic("stream: schema must be compiled")
 	}
-	return &Validator{S: s, stdXML: buildOptions(opts).stdXML}
-}
-
-// frame is the per-open-element state of the full validator.
-type frame struct {
-	t        *schema.Type
-	dfaState int
-	text     strings.Builder
+	return &Validator{S: s}
 }
 
 // Validate reads one XML document from r and validates it.
 func (v *Validator) Validate(r io.Reader) (Stats, error) {
 	return v.ValidateContext(context.Background(), r, Limits{})
+}
+
+// frame is the per-open-element state of the full validator. Frames live
+// in a pooled slice of values: pushing reuses the slot (and its retained
+// text buffer) left by a previously popped frame, so steady-state
+// validation allocates nothing per element.
+type frame struct {
+	t        *schema.Type
+	dfaState int
+	text     []byte
+}
+
+// vstate is the pooled per-validation state of the full validator.
+type vstate struct {
+	stack []frame
+}
+
+var vstatePool = sync.Pool{New: func() any { return new(vstate) }}
+
+// pushFrame appends a frame for t, reusing slot capacity (including the
+// slot's text buffer) when available.
+func pushFrame(stack []frame, t *schema.Type) []frame {
+	if len(stack) < cap(stack) {
+		stack = stack[:len(stack)+1]
+	} else {
+		stack = append(stack, frame{})
+	}
+	f := &stack[len(stack)-1]
+	f.t = t
+	f.text = f.text[:0]
+	f.dfaState = 0
+	if !t.Simple {
+		f.dfaState = t.DFA.Start()
+	}
+	return stack
 }
 
 // ValidateContext is Validate with cooperative cancellation and resource
@@ -73,22 +97,19 @@ func (v *Validator) Validate(r io.Reader) (Stats, error) {
 // element bounds is rejected with a *LimitError. The zero Limits is
 // unlimited.
 func (v *Validator) ValidateContext(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
-	if v.stdXML {
-		return v.validateStd(ctx, r, lim)
-	}
-	return v.validateScan(ctx, r, lim)
-}
-
-// validateStd is the encoding/xml-backed body of Validate, kept as the
-// reference the differential fuzz targets compare the scanner against.
-func (v *Validator) validateStd(ctx context.Context, r io.Reader, lim Limits) (Stats, error) {
 	var st Stats
-	dec := xml.NewDecoder(r)
-	var stack []*frame
+	sc := xmlscan.Get(r)
+	defer sc.Release()
+	vs := vstatePool.Get().(*vstate)
+	stack := vs.stack[:0]
+	defer func() {
+		vs.stack = stack
+		vstatePool.Put(vs)
+	}()
 	rootSeen := false
-	firstToken := true
 	done := ctx.Done()
 	countdown := cancelCheckEvery
+
 	for {
 		if done != nil {
 			countdown--
@@ -102,34 +123,34 @@ func (v *Validator) validateStd(ctx context.Context, r io.Reader, lim Limits) (S
 				}
 			}
 		}
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		ev, err := sc.Next()
 		if err != nil {
 			return st, fmt.Errorf("stream: %w", err)
 		}
-		isFirst := firstToken
-		firstToken = false
-		switch t := tok.(type) {
-		case xml.StartElement:
-			label := t.Name.Local
+		switch ev {
+		case xmlscan.EventEOF:
+			if !rootSeen {
+				return st, fmt.Errorf("stream: no root element")
+			}
+			return st, nil
+		case xmlscan.EventStart:
+			label := sc.Name()
 			var τ schema.TypeID
 			if len(stack) == 0 {
 				if rootSeen {
 					return st, fmt.Errorf("stream: multiple root elements")
 				}
 				rootSeen = true
-				τ = v.S.RootType(label)
+				τ = v.S.RootTypeSym(v.S.Alpha.LookupBytes(label))
 				if τ == schema.NoType {
 					return st, fmt.Errorf("stream: label %q is not a permitted root", label)
 				}
 			} else {
-				parent := stack[len(stack)-1]
+				parent := &stack[len(stack)-1]
 				if parent.t.Simple {
 					return st, fmt.Errorf("stream: element %q inside simple content", label)
 				}
-				sym := v.S.Alpha.Lookup(label)
+				sym := v.S.Alpha.LookupBytes(label)
 				if sym == fa.NoSymbol {
 					return st, fmt.Errorf("stream: label %q unknown to the schema", label)
 				}
@@ -152,60 +173,45 @@ func (v *Validator) validateStd(ctx context.Context, r io.Reader, lim Limits) (S
 				return st, err
 			}
 			st.NoteDepth(len(stack))
-			tt := v.S.TypeOf(τ)
-			f := &frame{t: tt}
-			if !tt.Simple {
-				f.dfaState = tt.DFA.Start()
-			}
-			stack = append(stack, f)
-		case xml.EndElement:
+			stack = pushFrame(stack, v.S.TypeOf(τ))
+		case xmlscan.EventEnd:
 			if len(stack) == 0 {
-				// Unreachable while encoding/xml enforces tag matching,
-				// but the invariant belongs to the walker, not the
-				// tokenizer.
-				return st, fmt.Errorf("stream: unexpected end element </%s>", t.Name.Local)
+				// Unreachable through the scanner (it enforces tag
+				// matching), but the walker owns its own invariant.
+				return st, fmt.Errorf("stream: unexpected end element </%s>", sc.Name())
 			}
-			f := stack[len(stack)-1]
+			f := &stack[len(stack)-1]
+			err := v.closeFrame(f, &st)
 			stack = stack[:len(stack)-1]
-			if err := v.closeFrame(f, &st); err != nil {
+			if err != nil {
 				return st, err
 			}
-		case xml.CharData:
-			text := string(t)
-			if isFirst {
-				// The scanner path skips a leading byte-order mark;
-				// encoding/xml surfaces it as text. Strip it so both
-				// paths see the same document.
-				text = strings.TrimPrefix(text, "\uFEFF")
-			}
+		case xmlscan.EventText:
+			text := sc.Text()
 			if len(stack) == 0 {
 				if xmlspace.Blank(text) {
 					continue // inter-element whitespace around the root
 				}
 				return st, fmt.Errorf("stream: text outside the root element")
 			}
-			f := stack[len(stack)-1]
-			if xmlspace.Blank(text) && !f.t.Simple {
-				continue // inter-element whitespace
-			}
+			f := &stack[len(stack)-1]
 			if !f.t.Simple {
+				if xmlspace.Blank(text) {
+					continue // inter-element whitespace
+				}
 				return st, fmt.Errorf("stream: text content under element-only type %q", f.t.Name)
 			}
-			f.text.WriteString(text)
+			f.text = append(f.text, text...)
 		}
 	}
-	if !rootSeen {
-		return st, fmt.Errorf("stream: no root element")
-	}
-	return st, nil
 }
 
 func (v *Validator) closeFrame(f *frame, st *Stats) error {
 	if f.t.Simple {
 		st.ValuesChecked++
-		if !f.t.Value.AcceptsValue(f.text.String()) {
+		if !f.t.Value.AcceptsBytes(f.text) {
 			return fmt.Errorf("stream: value %q does not satisfy simple type %q (%s)",
-				f.text.String(), f.t.Name, f.t.Value)
+				f.text, f.t.Name, f.t.Value)
 		}
 		return nil
 	}

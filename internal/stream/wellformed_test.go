@@ -8,6 +8,7 @@ import (
 	"repro/internal/fa"
 	"repro/internal/regexpsym"
 	"repro/internal/schema"
+	"repro/internal/wgen"
 )
 
 // miniCastPair builds the smallest schema pair both walkers accept:
@@ -26,76 +27,48 @@ func miniCastPair(t *testing.T) (*schema.Schema, *schema.Schema) {
 	return src, dst
 }
 
-// Both walkers, on both tokenizer paths, must hold the document to XML
-// well-formedness outside the root element: trailing or leading
-// non-whitespace text is a rejection, not a silent accept, and a stray
-// end tag is a structured error rather than a panic. These are
-// regression tests for two seed bugs: `<a/>trailing garbage` validated,
-// and an end tag with an empty stack indexed stack[-1].
+// Both walkers must hold the document to XML well-formedness outside the
+// root element: trailing or leading non-whitespace text is a rejection,
+// not a silent accept, and a stray end tag is a structured error rather
+// than a panic. These are regression tests for two seed bugs:
+// `<a/>trailing garbage` validated, and an end tag with an empty stack
+// indexed stack[-1]. The tree parser gives the same verdicts
+// (TestParseDocumentWellFormedness in the root package).
 func TestWellFormednessOutsideRoot(t *testing.T) {
-	cases := []struct {
-		name  string
-		doc   string
-		valid bool
-	}{
-		{"plain root", `<comment/>`, true},
-		{"ws around root", " \n\t<comment></comment>\r\n ", true},
-		{"comment and pi around root", `<?p d?><!-- a --><comment/><!-- b --><?p d?>`, true},
-		{"leading BOM", "\uFEFF<comment/>", true},
-		{"trailing garbage", `<comment/>trailing garbage`, false},
-		{"leading garbage", `junk<comment/>`, false},
-		{"trailing BOM", "<comment/>\uFEFF", false},
-		{"text between roots", `<comment/>x<comment/>`, false},
-		{"stray end tag only", `</comment>`, false},
-		{"stray end tag after root", `<comment></comment></comment>`, false},
-		{"stray end tag before root", `</comment><comment/>`, false},
-		{"unclosed root", `<comment>`, false},
-		{"mismatched close", `<comment></other>`, false},
-	}
-	ps := []struct {
-		name string
-		opts []Option
-	}{
-		{"scanner", nil},
-		{"encodingxml", []Option{WithEncodingXML()}},
-	}
 	src, dst := miniCastPair(t)
-	for _, p := range ps {
-		t.Run(p.name, func(t *testing.T) {
-			v := NewValidator(dst, p.opts...)
-			c, err := NewCaster(src, dst, p.opts...)
-			if err != nil {
-				t.Fatal(err)
+	// Both walkers read through the xmlscan tokenizer, the only one left.
+	t.Run("scanner", func(t *testing.T) {
+		v := NewValidator(dst)
+		c, err := NewCaster(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range wgen.WellFormednessMatrix() {
+			if _, err := v.Validate(strings.NewReader(tc.Doc)); (err == nil) != tc.WellFormed {
+				t.Errorf("validator %s: got err=%v, want valid=%v", tc.Name, err, tc.WellFormed)
 			}
-			for _, tc := range cases {
-				if _, err := v.Validate(strings.NewReader(tc.doc)); (err == nil) != tc.valid {
-					t.Errorf("validator %s: got err=%v, want valid=%v", tc.name, err, tc.valid)
-				}
-				if _, err := c.Validate(strings.NewReader(tc.doc)); (err == nil) != tc.valid {
-					t.Errorf("caster %s: got err=%v, want valid=%v", tc.name, err, tc.valid)
-				}
+			if _, err := c.Validate(strings.NewReader(tc.Doc)); (err == nil) != tc.WellFormed {
+				t.Errorf("caster %s: got err=%v, want valid=%v", tc.Name, err, tc.WellFormed)
 			}
-		})
-	}
+		}
+	})
 }
 
 // A stray end tag must never escape as a panic from either walker even
 // when fed through a reader that splits tokens across Read calls.
 func TestStrayEndTagDoesNotPanic(t *testing.T) {
 	src, dst := miniCastPair(t)
+	v := NewValidator(dst)
+	c, err := NewCaster(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, doc := range []string{`</a>`, `</comment>`, `<comment/></comment>`, `  </comment>`} {
-		for _, opts := range [][]Option{nil, {WithEncodingXML()}} {
-			v := NewValidator(dst, opts...)
-			if _, err := v.Validate(iotaReader(doc)); err == nil {
-				t.Errorf("validator accepted %q", doc)
-			}
-			c, err := NewCaster(src, dst, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.Validate(iotaReader(doc)); err == nil {
-				t.Errorf("caster accepted %q", doc)
-			}
+		if _, err := v.Validate(iotaReader(doc)); err == nil {
+			t.Errorf("validator accepted %q", doc)
+		}
+		if _, err := c.Validate(iotaReader(doc)); err == nil {
+			t.Errorf("caster accepted %q", doc)
 		}
 	}
 }

@@ -41,3 +41,33 @@ func GrammarCorners() []string {
 		"\xff\xfe\x00<not xml",
 	}
 }
+
+// WellFormedCase is one document of the well-formedness matrix.
+type WellFormedCase struct {
+	Name       string
+	Doc        string
+	WellFormed bool
+}
+
+// WellFormednessMatrix holds XML well-formedness outside the root element
+// <comment/>: whitespace, comments, PIs and a leading byte-order mark may
+// surround it; other text, a second root, a trailing byte-order mark and
+// stray or mismatched end tags may not. Every consumer of XML bytes — the
+// streaming walkers and the tree parser alike — must give these verdicts.
+func WellFormednessMatrix() []WellFormedCase {
+	return []WellFormedCase{
+		{"plain root", `<comment/>`, true},
+		{"ws around root", " \n\t<comment></comment>\r\n ", true},
+		{"comment and pi around root", `<?p d?><!-- a --><comment/><!-- b --><?p d?>`, true},
+		{"leading BOM", "\uFEFF<comment/>", true},
+		{"trailing garbage", `<comment/>trailing garbage`, false},
+		{"leading garbage", `junk<comment/>`, false},
+		{"trailing BOM", "<comment/>\uFEFF", false},
+		{"text between roots", `<comment/>x<comment/>`, false},
+		{"stray end tag only", `</comment>`, false},
+		{"stray end tag after root", `<comment></comment></comment>`, false},
+		{"stray end tag before root", `</comment><comment/>`, false},
+		{"unclosed root", `<comment>`, false},
+		{"mismatched close", `<comment></other>`, false},
+	}
+}

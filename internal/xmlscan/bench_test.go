@@ -1,4 +1,4 @@
-package xmlscan
+package xmlscan_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/wgen"
+	"repro/internal/xmlscan"
 )
 
 // BenchmarkSkimSubtree measures native skim throughput (MB/s) on the
@@ -20,17 +21,17 @@ func BenchmarkSkimSubtree(b *testing.B) {
 			r := bytes.NewReader(data)
 			for i := 0; i < b.N; i++ {
 				r.Reset(data)
-				s := Get(r)
+				s := xmlscan.Get(r)
 				for {
 					ev, err := s.Next()
-					if err != nil || ev == EventEOF {
+					if err != nil || ev == xmlscan.EventEOF {
 						b.Fatalf("no root element: %v", err)
 					}
-					if ev == EventStart {
+					if ev == xmlscan.EventStart {
 						break
 					}
 				}
-				res, err := s.SkimSubtree(SkimLimits{BaseOpen: s.Depth()})
+				res, err := s.SkimSubtree(xmlscan.SkimLimits{BaseOpen: s.Depth()})
 				if err != nil || !res.Done {
 					b.Fatalf("skim: done=%t err=%v", res.Done, err)
 				}

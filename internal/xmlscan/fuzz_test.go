@@ -1,4 +1,4 @@
-package xmlscan
+package xmlscan_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"testing/iotest"
 
 	"repro/internal/wgen"
+	"repro/internal/xmlscan"
 )
 
 // walkResult is what one pass over a document observed.
@@ -23,14 +24,14 @@ func (w walkResult) String() string {
 
 // checkStart applies lim's depth and element caps to a start tag the
 // event walk produced, in SkimSubtree's order.
-func (w *walkResult) checkStart(depth int, lim SkimLimits) bool {
+func (w *walkResult) checkStart(depth int, lim xmlscan.SkimLimits) bool {
 	w.elements++
 	if lim.MaxOpen > 0 && depth > lim.MaxOpen {
-		w.err = ErrSkimDepth
+		w.err = xmlscan.ErrSkimDepth
 		return false
 	}
 	if lim.MaxTotalElements > 0 && w.elements > lim.MaxTotalElements {
-		w.err = ErrSkimElements
+		w.err = xmlscan.ErrSkimElements
 		return false
 	}
 	w.maxDepth = max(w.maxDepth, depth)
@@ -38,9 +39,9 @@ func (w *walkResult) checkStart(depth int, lim SkimLimits) bool {
 }
 
 // walkEvents counts every start tag with Next.
-func walkEvents(r io.Reader, lim SkimLimits) walkResult {
+func walkEvents(r io.Reader, lim xmlscan.SkimLimits) walkResult {
 	var w walkResult
-	s := NewScanner(r)
+	s := xmlscan.NewScanner(r)
 	for {
 		ev, err := s.Next()
 		if err != nil {
@@ -48,9 +49,9 @@ func walkEvents(r io.Reader, lim SkimLimits) walkResult {
 			return w
 		}
 		switch ev {
-		case EventEOF:
+		case xmlscan.EventEOF:
 			return w
-		case EventStart:
+		case xmlscan.EventStart:
 			if !w.checkStart(s.Depth(), lim) {
 				return w
 			}
@@ -60,9 +61,9 @@ func walkEvents(r io.Reader, lim SkimLimits) walkResult {
 
 // walkSkim opens each top-level element with Next and skims its subtree,
 // resuming after every ChunkElements pause the way the stream caster does.
-func walkSkim(r io.Reader, lim SkimLimits) walkResult {
+func walkSkim(r io.Reader, lim xmlscan.SkimLimits) walkResult {
 	var w walkResult
-	s := NewScanner(r)
+	s := xmlscan.NewScanner(r)
 	for {
 		ev, err := s.Next()
 		if err != nil {
@@ -70,9 +71,9 @@ func walkSkim(r io.Reader, lim SkimLimits) walkResult {
 			return w
 		}
 		switch ev {
-		case EventEOF:
+		case xmlscan.EventEOF:
 			return w
-		case EventStart:
+		case xmlscan.EventStart:
 			if !w.checkStart(s.Depth(), lim) {
 				return w
 			}
@@ -94,25 +95,6 @@ func walkSkim(r io.Reader, lim SkimLimits) walkResult {
 	}
 }
 
-// edgeReader hands out its data in short reads of varying length, so the
-// scanner's window ends at a different place inside the tokens on every
-// fill.
-type edgeReader struct {
-	data  []byte
-	calls int
-}
-
-func (r *edgeReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, io.EOF
-	}
-	r.calls++
-	n := min(len(p), len(r.data), 1+r.calls*7%13)
-	copy(p, r.data[:n])
-	r.data = r.data[n:]
-	return n, nil
-}
-
 // FuzzSkimSubtree holds SkimSubtree to the event walk: skimming every
 // top-level element's subtree must reach the same verdict, with the same
 // error text, as walking every event with Next, and on acceptance count
@@ -124,14 +106,14 @@ func FuzzSkimSubtree(f *testing.F) {
 	for _, doc := range wgen.GrammarCorners() {
 		f.Add([]byte(doc))
 	}
-	limits := []SkimLimits{{}, {MaxOpen: 4, MaxTotalElements: 40, ChunkElements: 3}}
+	limits := []xmlscan.SkimLimits{{}, {MaxOpen: 4, MaxTotalElements: 40, ChunkElements: 3}}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, lim := range limits {
 			want := walkEvents(bytes.NewReader(data), lim)
 			readers := map[string]io.Reader{
 				"bytes":   bytes.NewReader(data),
 				"onebyte": iotest.OneByteReader(bytes.NewReader(data)),
-				"edge":    &edgeReader{data: data},
+				"edge":    xmlscan.NewEdgeReader(data),
 			}
 			for name, r := range readers {
 				got := walkSkim(r, lim)
@@ -163,8 +145,8 @@ func TestSkimTextBytes(t *testing.T) {
 				copy(text[lane:], "]]>")
 			}
 			doc := append(append([]byte("<r><skip>"), text...), "<x/></skip></r>"...)
-			want := walkEvents(bytes.NewReader(doc), SkimLimits{})
-			if got := walkSkim(bytes.NewReader(doc), SkimLimits{}); got.String() != want.String() {
+			want := walkEvents(bytes.NewReader(doc), xmlscan.SkimLimits{})
+			if got := walkSkim(bytes.NewReader(doc), xmlscan.SkimLimits{}); got.String() != want.String() {
 				t.Fatalf("%q: skim %v; event walk %v", doc, got, want)
 			}
 		}

@@ -3,6 +3,7 @@ package xmlscan
 import (
 	"io"
 	"sync"
+	"unsafe"
 )
 
 // maxRetainedBuf caps the buffer capacity a released scanner keeps. A
@@ -39,6 +40,12 @@ func (s *Scanner) Release() {
 	}
 	if cap(s.scratch) > maxRetainedBuf {
 		s.scratch = nil
+	}
+	if cap(s.attrBuf) > maxRetainedBuf {
+		s.attrBuf = nil
+	}
+	if cap(s.attrs) > maxRetainedBuf/int(unsafe.Sizeof(attrSpan{})) {
+		s.attrs = nil
 	}
 	scannerPool.Put(s)
 }

@@ -1,19 +1,19 @@
-// Package xmlscan is a byte-level XML tokenizer built for the validation
-// hot path. It emits only the three event kinds the streaming validators
-// consume — element start, element end, and character data — and exposes
-// names and text as []byte views so a walker can resolve labels against an
-// interned alphabet without allocating. Attributes are scanned for
-// well-formedness but never materialized; comments, processing
-// instructions and doctype declarations are consumed internally.
+// Package xmlscan is the repository's one XML tokenizer. It emits only the
+// three event kinds its consumers need — element start, element end, and
+// character data — and exposes names and text as []byte views so a
+// walker can resolve labels against an interned alphabet without
+// allocating. Attributes are scanned for well-formedness and, only in the
+// capture mode the tree builder turns on (CaptureAttrs), recorded for
+// Attr; comments, processing instructions and doctype declarations are
+// consumed internally.
 //
 // The scanner deliberately mirrors encoding/xml's strict-mode acceptance
 // behavior (entity handling, character-range checks, \r normalization,
-// namespace-name shape, tag matching), so a walker built on it accepts and
-// rejects exactly the documents an encoding/xml walker does; the
-// differential fuzz targets in internal/stream hold the two
-// implementations to that contract. One intentional difference: the
-// scanner skips a single UTF-8 byte-order mark at offset 0, and the
-// encoding/xml walkers compensate by stripping the same prefix.
+// namespace-name shape, tag matching); FuzzParseDifferential in
+// internal/xmltree holds the tree built on it to a reference tree built
+// with encoding/xml. One intentional difference: the scanner skips a
+// single UTF-8 byte-order mark at offset 0, where encoding/xml reports it
+// as character data.
 //
 // Well-formedness that encoding/xml enforces above the tokenizer — end
 // tags matching their start tags, no unclosed elements at EOF — is
@@ -71,6 +71,13 @@ type nameFrame struct {
 	off, n, local int
 }
 
+// attrSpan locates one captured attribute in attrBuf: its raw name is
+// attrBuf[off:val], the local part starts at off+local, and the decoded
+// value is attrBuf[val:end].
+type attrSpan struct {
+	off, local, val, end int
+}
+
 // Scanner tokenizes one XML document from an io.Reader. It is not safe
 // for concurrent use. The []byte views returned by Name and Text are
 // valid only until the next Scanner method call.
@@ -93,6 +100,12 @@ type Scanner struct {
 	name []byte // local name of the last start/end event
 	text []byte // bytes of the last text event
 
+	// Attribute capture, off unless CaptureAttrs turned it on: the last
+	// start tag's attributes, names raw and values decoded, in attrBuf.
+	captureAttrs bool
+	attrBuf      []byte
+	attrs        []attrSpan
+
 	pendingEnd bool // a self-closing tag owes its EndElement
 	started    bool // the offset-0 BOM check has run
 }
@@ -114,6 +127,9 @@ func (s *Scanner) Reset(r io.Reader) {
 	s.names = s.names[:0]
 	s.frames = s.frames[:0]
 	s.name, s.text = nil, nil
+	s.captureAttrs = false
+	s.attrBuf = s.attrBuf[:0]
+	s.attrs = s.attrs[:0]
 	s.pendingEnd = false
 	s.started = false
 	if s.buf == nil {
@@ -128,6 +144,24 @@ func (s *Scanner) Name() []byte { return s.name }
 // Text returns the decoded bytes of the last text event. The view is
 // valid until the next Scanner method call.
 func (s *Scanner) Text() []byte { return s.text }
+
+// CaptureAttrs makes every following start tag record its attributes for
+// NumAttrs and Attr, until the next Reset. Only the tree builder turns it
+// on; the streaming walkers and SkimSubtree never read attributes.
+func (s *Scanner) CaptureAttrs() { s.captureAttrs = true }
+
+// NumAttrs reports how many attributes the last start tag carried, when
+// capturing; it is 0 otherwise.
+func (s *Scanner) NumAttrs() int { return len(s.attrs) }
+
+// Attr returns the i-th attribute of the last start tag: its raw name, the
+// offset of the name's local part (after any namespace prefix and its
+// colon; 0 when unprefixed), and its decoded value. The views are valid
+// until the next Scanner method call.
+func (s *Scanner) Attr(i int) (name []byte, local int, value []byte) {
+	a := s.attrs[i]
+	return s.attrBuf[a.off:a.val], a.local, s.attrBuf[a.val:a.end]
+}
 
 // Depth reports the number of currently open elements.
 func (s *Scanner) Depth() int { return len(s.frames) }
@@ -713,6 +747,10 @@ func (s *Scanner) parseNSName(dst []byte) ([]byte, int, error) {
 // and returns EventStart. A self-closing tag owes an EventEnd on the next
 // call.
 func (s *Scanner) startTag() (Event, error) {
+	if s.captureAttrs {
+		s.attrBuf = s.attrBuf[:0]
+		s.attrs = s.attrs[:0]
+	}
 	off := len(s.names)
 	names, local, err := s.parseNSName(s.names)
 	s.names = names
@@ -760,11 +798,20 @@ func (s *Scanner) startTag() (Event, error) {
 	return EventStart, nil
 }
 
-// attr parses one attribute, validating its name and value without
-// keeping either.
+// attr parses one attribute, validating its name and value. In capture
+// mode both land in attrBuf; otherwise neither is kept.
 func (s *Scanner) attr() error {
-	scratch, _, err := s.parseNSName(s.scratch[:0])
-	s.scratch = scratch
+	dst := s.scratch[:0]
+	if s.captureAttrs {
+		dst = s.attrBuf
+	}
+	off := len(dst)
+	dst, local, err := s.parseNSName(dst)
+	if s.captureAttrs {
+		s.attrBuf = dst
+	} else {
+		s.scratch = dst
+	}
 	if err != nil {
 		if err == errNoName {
 			err = s.syntaxf("expected attribute name in element")
@@ -787,6 +834,21 @@ func (s *Scanner) attr() error {
 	if b != '"' && b != '\'' {
 		return s.syntaxf("unquoted or missing attribute value in element")
 	}
+	value, err := s.attrValue(b)
+	if err != nil {
+		return err
+	}
+	if s.captureAttrs {
+		val := len(s.attrBuf)
+		s.attrBuf = append(s.attrBuf, value...)
+		s.attrs = append(s.attrs, attrSpan{off: off, local: local, val: val, end: len(s.attrBuf)})
+	}
+	return nil
+}
+
+// attrValue consumes a quoted attribute value after its opening quote and
+// returns the decoded bytes, a view valid until the next scanner call.
+func (s *Scanner) attrValue(quote byte) ([]byte, error) {
 	// Fast path: a clean ASCII value ending at its quote inside the window
 	// needs no decoding. ']' and '&' fall through to the full scanner (']'
 	// is legal in attribute values but the table is shared with text), as
@@ -794,15 +856,18 @@ func (s *Scanner) attr() error {
 	win := s.buf[s.pos:s.end]
 	for i := 0; i < len(win); i++ {
 		c := win[i]
-		if c == b {
+		if c == quote {
 			s.pos += i + 1
-			return nil
+			return win[:i], nil
 		}
 		if textSlow[c] || c == '<' {
 			break
 		}
 	}
-	return s.textInto(int(b), false, false)
+	if err := s.textInto(int(quote), false, false); err != nil {
+		return nil, err
+	}
+	return s.textBuf, nil
 }
 
 // endTag parses an end tag from just after "</", requires it to close the

@@ -509,3 +509,78 @@ func TestXMLDeclaration(t *testing.T) {
 		}
 	}
 }
+
+// edgeReader hands out its data in short reads of varying length, so the
+// scanner's window ends at a different place inside the tokens on every
+// fill.
+type edgeReader struct {
+	data  []byte
+	calls int
+}
+
+func (r *edgeReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	r.calls++
+	n := min(len(p), len(r.data), 1+r.calls*7%13)
+	copy(p, r.data[:n])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// attrList renders the attributes the last start tag captured as
+// "raw|local|value" entries.
+func attrList(s *Scanner) []string {
+	var out []string
+	for i := 0; i < s.NumAttrs(); i++ {
+		name, local, value := s.Attr(i)
+		out = append(out, fmt.Sprintf("%s|%s|%s", name, name[local:], value))
+	}
+	return out
+}
+
+// TestCaptureAttrs pins attribute capture: raw names with their local
+// part, decoded values (references, CRLF, single quotes), a fresh list per
+// start tag, and no capture before CaptureAttrs or after Reset.
+func TestCaptureAttrs(t *testing.T) {
+	doc := "<p:a xmlns:p=\"urn:p\" p:b='x&amp;&#x41;' c=\"1\r\n2\"><d/><e :f=\"\" g:=\"v\"/></p:a>"
+	for name, r := range map[string]io.Reader{
+		"whole":   strings.NewReader(doc),
+		"onebyte": iotest.OneByteReader(strings.NewReader(doc)),
+	} {
+		s := Get(r)
+		s.CaptureAttrs()
+		var got []string
+		for {
+			ev, err := s.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if ev == EventEOF {
+				break
+			}
+			if ev == EventStart {
+				got = append(got, fmt.Sprintf("%s%q", s.Name(), attrList(s)))
+			}
+		}
+		want := []string{
+			`a["xmlns:p|p|urn:p" "p:b|b|x&A" "c|c|1\n2"]`,
+			`d[]`,
+			`e[":f|:f|" "g:|g:|v"]`,
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s reader:\n got %v\nwant %v", name, got, want)
+		}
+		s.Release()
+	}
+	s := NewScanner(strings.NewReader(`<a b="1"/>`))
+	if ev, _ := s.Next(); ev != EventStart || s.NumAttrs() != 0 {
+		t.Fatalf("captured %d attributes without CaptureAttrs", s.NumAttrs())
+	}
+	s.CaptureAttrs()
+	s.Reset(strings.NewReader(`<a b="1"/>`))
+	if ev, _ := s.Next(); ev != EventStart || s.NumAttrs() != 0 {
+		t.Fatalf("capture survived Reset: %d attributes", s.NumAttrs())
+	}
+}

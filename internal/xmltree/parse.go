@@ -7,88 +7,137 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/xmlscan"
 	"repro/internal/xmlspace"
 )
 
-// ParseOptions controls XML parsing.
-type ParseOptions struct {
-	// KeepWhitespaceText retains text nodes that consist solely of
-	// whitespace. By default they are dropped: in element-only content
-	// models, inter-element whitespace is insignificant, and the paper's
-	// trees have χ leaves only for genuine simple values.
-	KeepWhitespaceText bool
-}
-
 // Parse reads an XML document from r and returns the root element as an
-// ordered labeled tree. Comments, processing instructions and directives
-// are ignored; namespaces are flattened to local names (abstract XML
-// schemas in this reproduction are namespace-free, as in the paper).
+// ordered labeled tree, tokenized by the pooled byte-level scanner
+// (package xmlscan). Element labels and attribute names are local names
+// (abstract XML schemas in this reproduction are namespace-free, as in
+// the paper); namespace declarations (xmlns, xmlns:*) are not kept as
+// attributes. Adjacent text runs are coalesced into one χ leaf and
+// whitespace-only runs are dropped: in element-only content models
+// inter-element whitespace is insignificant, and the paper's trees have χ
+// leaves only for genuine simple values. Comments, processing
+// instructions and the doctype are ignored. Text outside the root
+// element, other than whitespace, makes the document malformed.
 func Parse(r io.Reader) (*Node, error) {
-	return ParseWith(r, ParseOptions{})
-}
-
-// ParseWith is Parse with explicit options.
-func ParseWith(r io.Reader, opts ParseOptions) (*Node, error) {
-	dec := xml.NewDecoder(r)
+	sc := xmlscan.Get(r)
+	defer sc.Release()
+	sc.CaptureAttrs()
+	var b builder
 	var root *Node
-	var stack []*Node
+	// open holds the open elements; kids holds the children collected so
+	// far for all of them, each element's from its from index on.
+	type openElem struct {
+		n    *Node
+		from int
+	}
+	var open []openElem
+	var kids []*Node
 	for {
-		tok, err := dec.Token()
-		if err == io.EOF {
-			break
-		}
+		ev, err := sc.Next()
 		if err != nil {
 			return nil, fmt.Errorf("xmltree: %w", err)
 		}
-		switch t := tok.(type) {
-		case xml.StartElement:
-			n := NewElement(t.Name.Local)
-			for _, a := range t.Attr {
-				if a.Name.Space == "xmlns" || a.Name.Local == "xmlns" {
+		switch ev {
+		case xmlscan.EventEOF:
+			if root == nil {
+				return nil, errors.New("xmltree: no root element")
+			}
+			return root, nil
+		case xmlscan.EventStart:
+			n := b.node()
+			n.Label = b.intern(sc.Name())
+			for i := 0; i < sc.NumAttrs(); i++ {
+				name, local, value := sc.Attr(i)
+				if local > 0 && string(name[:local-1]) == "xmlns" || string(name[local:]) == "xmlns" {
 					continue // namespace declarations are not data
 				}
-				n.Attrs = append(n.Attrs, Attr{Name: a.Name.Local, Value: a.Value})
+				n.Attrs = append(n.Attrs, Attr{Name: b.intern(name[local:]), Value: string(value)})
 			}
-			if len(stack) == 0 {
+			if len(open) == 0 {
 				if root != nil {
 					return nil, errors.New("xmltree: multiple root elements")
 				}
 				root = n
 			} else {
-				stack[len(stack)-1].AppendChild(n)
+				n.Parent = open[len(open)-1].n
+				kids = append(kids, n)
 			}
-			stack = append(stack, n)
-		case xml.EndElement:
-			if len(stack) == 0 {
-				return nil, errors.New("xmltree: unbalanced end element")
-			}
-			stack = stack[:len(stack)-1]
-		case xml.CharData:
-			if len(stack) == 0 {
-				continue // whitespace or stray text outside the root
-			}
-			text := string(t)
-			if !opts.KeepWhitespaceText && xmlspace.Blank(text) {
+			open = append(open, openElem{n, len(kids)})
+		case xmlscan.EventEnd:
+			top := open[len(open)-1]
+			top.n.Children = b.children(kids[top.from:])
+			open, kids = open[:len(open)-1], kids[:top.from]
+		case xmlscan.EventText:
+			text := sc.Text()
+			if xmlspace.Blank(text) {
 				continue
 			}
-			parent := stack[len(stack)-1]
-			// Coalesce adjacent text (the decoder may split CDATA).
-			if k := len(parent.Children); k > 0 && parent.Children[k-1].Kind == Text {
-				parent.Children[k-1].Text += text
+			if len(open) == 0 {
+				return nil, errors.New("xmltree: text outside the root element")
+			}
+			// Coalesce adjacent runs (CDATA sections and comments split
+			// text into several events).
+			top := open[len(open)-1]
+			if k := len(kids); k > top.from && kids[k-1].Kind == Text {
+				kids[k-1].Text += string(text)
 				continue
 			}
-			parent.AppendChild(NewText(text))
-		case xml.Comment, xml.ProcInst, xml.Directive:
-			// ignored
+			n := b.node()
+			n.Kind, n.Text, n.Parent = Text, string(text), top.n
+			kids = append(kids, n)
 		}
 	}
-	if root == nil {
-		return nil, errors.New("xmltree: no root element")
+}
+
+// builder carves one parse's nodes and child slices out of shared chunks,
+// so a document costs a few large allocations rather than one per node
+// plus a growing slice per element, and interns element and attribute
+// names, which repeat across a document. A chunk stays reachable while
+// any node carved from it is.
+type builder struct {
+	nodes []Node
+	ptrs  []*Node
+	names map[string]string
+}
+
+const maxChunk = 1024
+
+func (b *builder) node() *Node {
+	if len(b.nodes) == cap(b.nodes) {
+		b.nodes = make([]Node, 0, min(2*cap(b.nodes)+16, maxChunk))
 	}
-	if len(stack) != 0 {
-		return nil, errors.New("xmltree: unexpected end of input")
+	b.nodes = b.nodes[:len(b.nodes)+1]
+	return &b.nodes[len(b.nodes)-1]
+}
+
+// children returns a copy of kids whose capacity equals its length, so
+// appending to one element's children never writes into another's.
+func (b *builder) children(kids []*Node) []*Node {
+	if len(kids) == 0 {
+		return nil
 	}
-	return root, nil
+	if cap(b.ptrs)-len(b.ptrs) < len(kids) {
+		b.ptrs = make([]*Node, 0, max(len(kids), min(2*cap(b.ptrs)+16, maxChunk)))
+	}
+	from := len(b.ptrs)
+	b.ptrs = append(b.ptrs, kids...)
+	return b.ptrs[from:len(b.ptrs):len(b.ptrs)]
+}
+
+func (b *builder) intern(name []byte) string {
+	if s, ok := b.names[string(name)]; ok {
+		return s
+	}
+	if b.names == nil {
+		b.names = make(map[string]string)
+	}
+	s := string(name)
+	b.names[s] = s
+	return s
 }
 
 // ParseString parses an XML document held in a string.

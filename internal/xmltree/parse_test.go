@@ -45,13 +45,6 @@ func TestParseWhitespaceHandling(t *testing.T) {
 	if len(root.Children) != 1 {
 		t.Fatalf("whitespace text should be dropped, children = %d", len(root.Children))
 	}
-	kept, err := ParseWith(strings.NewReader("<a> <b/> </a>"), ParseOptions{KeepWhitespaceText: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kept.Children) != 3 {
-		t.Fatalf("with KeepWhitespaceText children = %d, want 3", len(kept.Children))
-	}
 }
 
 func TestParseCoalescesText(t *testing.T) {

@@ -864,3 +864,20 @@ func TestIdentityConstraintsEndToEnd(t *testing.T) {
 		t.Fatal("index over constraint-less schema should error")
 	}
 }
+
+// TestParseDocumentWellFormedness holds ParseDocument to the
+// well-formedness matrix the streaming walkers are held to: text outside
+// the root element, other than whitespace, is a parse error.
+func TestParseDocumentWellFormedness(t *testing.T) {
+	for _, tc := range wgen.WellFormednessMatrix() {
+		if _, err := ParseDocumentString(tc.Doc); (err == nil) != tc.WellFormed {
+			t.Errorf("%s: got err=%v, want well-formed=%v", tc.Name, err, tc.WellFormed)
+		}
+	}
+	for _, doc := range []string{"<a/>junk", "junk<a/>", "<a/>\uFEFF"} {
+		_, err := ParseDocumentString(doc)
+		if err == nil || err.Error() != "xmltree: text outside the root element" {
+			t.Errorf("%q: got err=%v, want the text-outside-root error", doc, err)
+		}
+	}
+}
